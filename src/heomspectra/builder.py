@@ -44,7 +44,8 @@ class HeomLiouvillian:
     ``mode_decays[p] = kappa_p + 1j * omega_p`` per damped mode, in the order
     of ``model.slots()``.  ``max_real_part`` is a diagnostic filled in when a
     full spectrum has been computed; at finite truncation small positive real
-    parts are expected and are not an error.
+    parts are expected and are not an error.  Targeted solves of ``matrix``
+    are cached on the instance, so the matrix must not change after analysis.
     """
 
     matrix: sp.csr_matrix
@@ -53,6 +54,7 @@ class HeomLiouvillian:
     model: ModelInstance
     mode_decays: np.ndarray
     max_real_part: Optional[float] = None
+    _eig_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:

@@ -40,9 +40,11 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import hashlib
 import json
 import logging
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -52,15 +54,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .builder import assemble, export_matrix
-from .convergence import auto_cutoff, auto_truncate
+from .builder import HeomLiouvillian, assemble, export_matrix
+from .convergence import auto_cutoff, auto_truncate, embedding_expectation, steady_expectation
 from .embedding import dimension_report
-from .errors import ConfigError
+from .errors import ConfigError, MatrixValidationError
 from .linalg import read_triplets
 from .models import ModelInstance, BathSpec, BathTerm, custom, lmg, two_mode_dicke, z2_lmg
 from .operators import SpinSpace, spin_operators
-from .spectra import check_properties, spectrum, steady_state
-from .symmetry import decompose, sector_leading_eigs
+from .spectra import check_properties, distinct_from_leading, spectrum, steady_state
+from .symmetry import SectorDecomposition, decompose, sector_leading_eigs
 from .dpt import REALNESS_GATE, fidelity, reconstruct_mixture, ssb_pair
 
 log = logging.getLogger("heomspectra")
@@ -123,6 +125,15 @@ def _require(raw: dict, key: str, kind, path: str):
     return value
 
 
+def _number(raw: dict, key: str, default, kind, path: str):
+    """``kind(raw[key])`` (or the default), as a :class:`ConfigError` if it fails."""
+    value = raw.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}{key}", f"must be a number, got {value!r}") from None
+
+
 def parse_config(path) -> RunConfig:
     """Parse and validate a JSON run configuration."""
     path = Path(path)
@@ -151,7 +162,7 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("N", "must be a non-empty list of positive integers")
 
     k_raw = raw.get("k_max", "auto")
-    epsilon = float(raw.get("epsilon", 1e-4))
+    epsilon = _number(raw, "epsilon", 1e-4, float, "")
     if epsilon <= 0:
         raise ConfigError("epsilon", "must be > 0")
     if k_raw == "auto":
@@ -194,9 +205,9 @@ def parse_config(path) -> RunConfig:
     solver = raw.get("solver", {})
     if not isinstance(solver, dict):
         raise ConfigError("solver", "must be an object")
-    shift = float(solver.get("shift", 0.0))
-    eig_count = int(solver.get("count", 6))
-    tol = float(solver.get("tol", 1e-10))
+    shift = _number(solver, "shift", 0.0, float, "solver.")
+    eig_count = _number(solver, "count", 6, int, "solver.")
+    tol = _number(solver, "tol", 1e-10, float, "solver.")
     if eig_count < 1:
         raise ConfigError("solver.count", "must be >= 1")
     if tol <= 0:
@@ -237,9 +248,13 @@ def parse_config(path) -> RunConfig:
     )
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     config.config_hash = hashlib.sha256(canonical.encode()).hexdigest()[:16]
-    # Observables must resolve for every configured size.
+    # The model parameters must be valid and the observables must resolve for
+    # every configured size, checked at the first grid point.
     for size in config.sizes:
-        model_probe = build_model(config, size, config.sweep_grid[0])
+        try:
+            model_probe = build_model(config, size, config.sweep_grid[0])
+        except MatrixValidationError as exc:
+            raise ConfigError("params", str(exc)) from exc
         resolve_observables(config, model_probe)
     return config
 
@@ -321,11 +336,17 @@ def resolve_observables(
     return resolved
 
 
+def _solver_opts(config: RunConfig) -> dict:
+    """The solver options every steady-state and spectral call accepts."""
+    return {"count": config.eig_count, "tol": config.tol, "seed": config.seed}
+
+
 def _resolve_k_max(config: RunConfig, model: ModelInstance, observables) -> int:
     if config.k_max is not None:
         return config.k_max
     trace = auto_truncate(
-        model, observables[0][1], epsilon=config.epsilon, k_start=1, k_limit=config.k_limit
+        model, observables[0][1], epsilon=config.epsilon, k_start=1, k_limit=config.k_limit,
+        **_solver_opts(config),
     )
     if trace.selected is None:
         raise RuntimeError(
@@ -334,10 +355,35 @@ def _resolve_k_max(config: RunConfig, model: ModelInstance, observables) -> int:
     return trace.selected
 
 
-def _rows_steady(model, liouv, observables, solver):
-    state, _ = steady_state(liouv, count=solver["count"], tol=solver["tol"], seed=solver["seed"])
+@dataclass
+class _Point:
+    """One grid point's inputs, shared by all of its analyses.
+
+    The generator and its sector decomposition carry the cached solves, so
+    analyses asking for the same spectrum share one eigensolve.
+    """
+
+    config: RunConfig
+    model: ModelInstance
+    observables: List[Tuple[str, np.ndarray]]
+    liouv: HeomLiouvillian
+
+    def solver(self, count: Optional[int] = None) -> dict:
+        """The configured solver options and shift; ``count`` overrides the count."""
+        opts = {**_solver_opts(self.config), "shift": self.config.shift}
+        if count is not None:
+            opts["count"] = count
+        return opts
+
+    @functools.cached_property
+    def decomp(self) -> SectorDecomposition:
+        return decompose(self.liouv)
+
+
+def _rows_steady(point: _Point):
+    state, _ = steady_state(point.liouv, **point.solver())
     rows = []
-    for name, matrix in observables:
+    for name, matrix in point.observables:
         value = complex(np.trace(matrix @ state.matrix))
         rows.append(("steady_state", name, value.real, value.imag))
     rows.append(("steady_state", "min_eigenvalue", state.min_eigenvalue, 0.0))
@@ -345,29 +391,27 @@ def _rows_steady(model, liouv, observables, solver):
     return rows
 
 
-def _rows_gap(model, liouv, observables, solver):
-    result = spectrum(liouv, count=solver["count"], tol=solver["tol"], seed=solver["seed"])
-    rows = [("gap", "lambda_0", result.eigenvalues[0].real, result.eigenvalues[0].imag)]
-    lead = result.eigenvalues[0]
-    for value in result.eigenvalues[1:]:
-        if abs(value - lead) > 1e-9:
-            rows.append(("gap", "lambda_1", value.real, value.imag))
-            break
+def _rows_gap(point: _Point):
+    values = spectrum(point.liouv, **point.solver()).eigenvalues
+    rows = [("gap", "lambda_0", values[0].real, values[0].imag)]
+    rest = distinct_from_leading(values)
+    if rest.size:
+        rows.append(("gap", "lambda_1", rest[0].real, rest[0].imag))
     return rows
 
 
-def _rows_properties(model, liouv, observables, solver):
+def _rows_properties(point: _Point):
+    liouv = point.liouv
     mode = "full" if liouv.dim <= 2000 else "sampled"
-    report = check_properties(liouv, mode=mode, count=max(solver["count"], 12),
-                              tol=solver["tol"], seed=solver["seed"])
+    report = check_properties(liouv, mode=mode, **point.solver(max(point.config.eig_count, 12)))
     return [
         ("properties", f"{key}[{report.checked[key]}]", value, 0.0)
         for key, value in sorted(report.residuals.items())
     ]
 
 
-def _rows_decompose(model, liouv, observables, solver):
-    decomp = decompose(liouv)
+def _rows_decompose(point: _Point):
+    decomp = point.decomp
     rows = [
         ("decompose", "n_sectors", float(len(decomp.sectors)), 0.0),
         ("decompose", "off_sector_residual", decomp.off_sector_residual, 0.0),
@@ -377,34 +421,31 @@ def _rows_decompose(model, liouv, observables, solver):
     return rows
 
 
-def _rows_sectors(model, liouv, observables, solver):
-    decomp = decompose(liouv)
+def _rows_sectors(point: _Point):
+    decomp, count = point.decomp, point.config.eig_count
     rows = []
     for charge in decomp.charges_present():
         dim = decomp.dimension(charge)
-        count = min(solver["count"], dim)
-        res = sector_leading_eigs(decomp, charge, count=count, tol=solver["tol"], seed=solver["seed"])
+        res = sector_leading_eigs(decomp, charge, **point.solver(min(count, dim)))
         rows.append(("sectors", f"dim[k={charge}]", float(dim), 0.0))
         for i, value in enumerate(res.eigenvalues):
             rows.append(("sectors", f"lambda_{i}[k={charge}]", value.real, value.imag))
     return rows
 
 
-def _rows_ssb(model, liouv, observables, solver):
-    decomp = decompose(liouv)
-    scale = model.params.get("omega", 1.0)
+def _rows_ssb(point: _Point):
+    decomp, count = point.decomp, point.config.eig_count
+    scale = point.model.params.get("omega", 1.0)
     rows = []
-    res = sector_leading_eigs(decomp, 1, count=min(solver["count"], decomp.dimension(1)),
-                              tol=solver["tol"], seed=solver["seed"])
+    res = sector_leading_eigs(decomp, 1, **point.solver(min(count, decomp.dimension(1))))
     value = complex(res.eigenvalues[0])
     rows.append(("ssb", "lambda_0[k=1]", value.real, value.imag))
     rows.append(("ssb", "gate_ratio", abs(value.imag) / scale, 0.0))
     if abs(value.imag) / scale < REALNESS_GATE:
-        pair = ssb_pair(decomp, scale, count=solver["count"], tol=solver["tol"], seed=solver["seed"])
-        state, _ = steady_state(decomp, charge=0, count=solver["count"],
-                                tol=solver["tol"], seed=solver["seed"])
+        pair = ssb_pair(decomp, scale, **point.solver())
+        state, _ = steady_state(decomp, charge=0, **point.solver())
         rows.append(("ssb", "fidelity", fidelity(reconstruct_mixture(pair), state), 0.0))
-        for name, matrix in observables:
+        for name, matrix in point.observables:
             plus = complex(np.trace(matrix @ pair.rho_plus.matrix))
             minus = complex(np.trace(matrix @ pair.rho_minus.matrix))
             rows.append(("ssb", f"{name}[plus]", plus.real, plus.imag))
@@ -412,48 +453,55 @@ def _rows_ssb(model, liouv, observables, solver):
     return rows
 
 
-def _make_converge(config: RunConfig):
-    def _rows_converge(model, liouv, observables, solver):
-        trace = auto_truncate(model, observables[0][1], epsilon=config.epsilon,
-                              k_start=1, k_limit=config.k_limit)
-        rows = [
-            ("converge", f"C[k={k}]", measure, 0.0)
-            for k, measure in zip(trace.truncations, trace.measures)
-        ]
-        selected = float(trace.selected) if trace.selected is not None else -1.0
-        rows.append(("converge", "selected_k_max", selected, 0.0))
-        return rows
-
-    return _rows_converge
+def _rows_converge(point: _Point):
+    config = point.config
+    trace = auto_truncate(point.model, point.observables[0][1], epsilon=config.epsilon,
+                          k_start=1, k_limit=config.k_limit, **_solver_opts(config))
+    rows = [
+        ("converge", f"C[k={k}]", measure, 0.0)
+        for k, measure in zip(trace.truncations, trace.measures)
+    ]
+    selected = float(trace.selected) if trace.selected is not None else -1.0
+    rows.append(("converge", "selected_k_max", selected, 0.0))
+    return rows
 
 
-def _make_compare(config: RunConfig):
-    def _rows_compare(model, liouv, observables, solver):
-        name, matrix = observables[0]
-        heom_trace = auto_truncate(model, matrix, epsilon=config.epsilon,
-                                   k_start=1, k_limit=config.k_limit)
-        lm_trace = auto_cutoff(model, matrix, epsilon=config.epsilon,
-                               n_start=1, n_limit=max(config.k_limit, 16))
-        if heom_trace.selected is None or lm_trace.selected is None:
-            raise RuntimeError("matched-tolerance truncation search was exhausted")
-        from .convergence import embedding_expectation, steady_expectation
+def _rows_compare(point: _Point):
+    config, model = point.config, point.model
+    opts = _solver_opts(config)
+    name, matrix = point.observables[0]
+    heom_trace = auto_truncate(model, matrix, epsilon=config.epsilon,
+                               k_start=1, k_limit=config.k_limit, **opts)
+    lm_trace = auto_cutoff(model, matrix, epsilon=config.epsilon,
+                           n_start=1, n_limit=max(config.k_limit, 16), **opts)
+    if heom_trace.selected is None or lm_trace.selected is None:
+        raise RuntimeError("matched-tolerance truncation search was exhausted")
+    k_sel, n_sel = heom_trace.selected, lm_trace.selected
+    delta = abs(
+        steady_expectation(model, matrix, k_sel, **opts)
+        - embedding_expectation(model, matrix, n_sel, **opts)
+    )
+    report = dimension_report(model, k_sel, cutoff_rule=n_sel)
+    return [
+        ("compare_markovian", "selected_k_max", float(k_sel), 0.0),
+        ("compare_markovian", "selected_n_c", float(n_sel), 0.0),
+        ("compare_markovian", f"delta[{name}]", delta, 0.0),
+        ("compare_markovian", "dim_heom", report["dim_heom"], 0.0),
+        ("compare_markovian", "dim_lm", report["dim_lm"], 0.0),
+        ("compare_markovian", "dim_ratio", report["ratio"], 0.0),
+    ]
 
-        k_sel, n_sel = heom_trace.selected, lm_trace.selected
-        delta = abs(
-            steady_expectation(model, matrix, k_sel)
-            - embedding_expectation(model, matrix, n_sel)
-        )
-        report = dimension_report(model, k_sel, cutoff_rule=n_sel)
-        return [
-            ("compare_markovian", "selected_k_max", float(k_sel), 0.0),
-            ("compare_markovian", "selected_n_c", float(n_sel), 0.0),
-            ("compare_markovian", f"delta[{name}]", delta, 0.0),
-            ("compare_markovian", "dim_heom", report["dim_heom"], 0.0),
-            ("compare_markovian", "dim_lm", report["dim_lm"], 0.0),
-            ("compare_markovian", "dim_ratio", report["ratio"], 0.0),
-        ]
 
-    return _rows_compare
+HANDLERS = {
+    "steady_state": _rows_steady,
+    "gap": _rows_gap,
+    "properties": _rows_properties,
+    "decompose": _rows_decompose,
+    "sectors": _rows_sectors,
+    "ssb": _rows_ssb,
+    "converge": _rows_converge,
+    "compare_markovian": _rows_compare,
+}
 
 
 def execute_point(config: RunConfig, index: int, size: int, sweep_value: float):
@@ -461,24 +509,11 @@ def execute_point(config: RunConfig, index: int, size: int, sweep_value: float):
     model = build_model(config, size, sweep_value)
     observables = resolve_observables(config, model)
     k_max = _resolve_k_max(config, model, observables)
-    liouv = assemble(model, k_max)
-    solver = {"count": config.eig_count, "tol": config.tol, "seed": config.seed}
-    handlers = {
-        "steady_state": _rows_steady,
-        "gap": _rows_gap,
-        "properties": _rows_properties,
-        "decompose": _rows_decompose,
-        "sectors": _rows_sectors,
-        "ssb": _rows_ssb,
-        "converge": _make_converge(config),
-        "compare_markovian": _make_compare(config),
-    }
+    point = _Point(config, model, observables, assemble(model, k_max))
     run_id = f"{config.config_hash[:8]}-{index:04d}"
     rows = []
     for analysis in config.analyses:
-        for analysis_name, key, re_value, im_value in handlers[analysis](
-            model, liouv, observables, solver
-        ):
+        for analysis_name, key, re_value, im_value in HANDLERS[analysis](point):
             rows.append(
                 {
                     "run_id": run_id,
@@ -495,7 +530,7 @@ def execute_point(config: RunConfig, index: int, size: int, sweep_value: float):
             )
     if config.export_matrices:
         out = Path(config.output_dir) / f"matrix_point{index:04d}.txt"
-        export_matrix(liouv, out)
+        export_matrix(point.liouv, out)
     return index, rows
 
 
@@ -524,6 +559,21 @@ def _format_row(row: dict) -> str:
     )
 
 
+def _load_fragment(fragment: Path) -> Optional[dict]:
+    """A checkpoint fragment's payload; None if it is absent or unreadable."""
+    if not fragment.exists():
+        return None
+    try:
+        payload = json.loads(fragment.read_text())
+    except (OSError, ValueError) as exc:
+        log.warning("ignoring unreadable checkpoint %s (%s); recomputing the point", fragment, exc)
+        return None
+    if not isinstance(payload, dict) or not isinstance(payload.get("rows"), list):
+        log.warning("ignoring malformed checkpoint %s; recomputing the point", fragment)
+        return None
+    return payload
+
+
 def run(config: RunConfig, workers: Optional[int] = None) -> int:
     """Execute a sweep; returns the process exit status (0 ok, 1 partial)."""
     workers = config.workers if workers is None else workers
@@ -542,9 +592,8 @@ def run(config: RunConfig, workers: Optional[int] = None) -> int:
 
     pending = []
     for index, size, value in points:
-        fragment = points_dir / f"point_{index:04d}.json"
-        if fragment.exists():
-            payload = json.loads(fragment.read_text())
+        payload = _load_fragment(points_dir / f"point_{index:04d}.json")
+        if payload is not None:
             if payload.get("config_hash") == config.config_hash:
                 if payload.get("error"):
                     failures.append(payload["error"])
@@ -559,12 +608,15 @@ def run(config: RunConfig, workers: Optional[int] = None) -> int:
             failures.append(error)
             log.warning("%s", error)
         results[index] = rows
-        fragment.write_text(
+        # Write then rename, so a crash never leaves a partial fragment behind.
+        partial = fragment.with_name(fragment.name + ".tmp")
+        partial.write_text(
             json.dumps(
                 {"config_hash": config.config_hash, "rows": rows, "error": error},
                 sort_keys=True,
             )
         )
+        os.replace(partial, fragment)
 
     if workers > 1 and len(pending) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

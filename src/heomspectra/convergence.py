@@ -22,7 +22,7 @@ from .builder import assemble
 from .embedding import EmbeddingSpec, steady_state_lm
 from .errors import MatrixValidationError, PairingError
 from .models import ModelInstance
-from .spectra import expectation, spectrum, steady_state
+from .spectra import distinct_from_leading, expectation, spectrum, steady_state
 from .symmetry import decompose, sector_leading_eigs
 
 #: Default convergence threshold.
@@ -120,9 +120,7 @@ def gap_selector(count: int = 6, charge: Optional[int] = None) -> EigSelector:
             result = spectrum(target, charge=charge, count=count)
         else:
             result = spectrum(liouv, count=count)
-        values = result.eigenvalues
-        lead = values[0]
-        rest = [complex(v) for v in values[1:] if abs(v - lead) > 1e-9]
+        rest = [complex(v) for v in distinct_from_leading(result.eigenvalues)]
         if not rest:
             raise MatrixValidationError("no decaying eigenvalue found; increase count")
         return rest

@@ -138,6 +138,7 @@ def ssb_pair(
     count: int = 8,
     tol: float = 1e-10,
     seed: int = 0,
+    shift: complex = 0.0,
 ) -> PhasePair:
     """Symmetry-broken pair from the leading eigenvector of a broken sector.
 
@@ -153,7 +154,8 @@ def ssb_pair(
         raise MatrixValidationError(
             "the symmetry-broken pair construction needs an order-2 symmetry"
         )
-    leading = sector_leading_eigs(decomp, broken_charge, count=count, tol=tol, seed=seed)
+    leading = sector_leading_eigs(decomp, broken_charge, count=count, tol=tol, seed=seed,
+                                  shift=shift)
     value = complex(leading.eigenvalues[0])
     ratio = abs(value.imag) / frequency_scale
     if ratio >= REALNESS_GATE:

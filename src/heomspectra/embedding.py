@@ -23,12 +23,11 @@ from .builder import HeomState
 from .errors import (
     EmbeddingUnsupportedError,
     MatrixValidationError,
-    SingularShiftError,
     SizeBudgetError,
     StiffnessError,
 )
 from .hierarchy import count as hierarchy_count
-from .linalg import clean_sparse, devectorize, eig_targeted, kron, vectorize
+from .linalg import clean_sparse, devectorize, eig_solve, kron, vectorize
 from .models import ModelInstance
 
 #: Largest superoperator dimension the embedding will build by default.
@@ -190,11 +189,7 @@ def steady_state_lm(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Stationary state of the embedding: (full matrix, reduced system matrix)."""
     lm = build_lm(spec) if matrix is None else matrix
-    n = lm.shape[0]
-    try:
-        res = eig_targeted(lm, 0.0, min(count, n), tol=tol, seed=seed)
-    except SingularShiftError as exc:
-        res = eig_targeted(lm, exc.suggested_shift, min(count, n), tol=tol, seed=seed)
+    res = eig_solve(lm, 0.0, min(count, lm.shape[0]), tol=tol, seed=seed)
     order = np.argsort(np.abs(res.eigenvalues))
     vec = res.right_vectors[:, order[0]]
     rho = devectorize(vec, spec.hilbert_dim)

@@ -9,8 +9,9 @@ multiplication vectorizes as ``vec(A @ rho @ B) = kron(A, B.T) @ vec(rho)``.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 import scipy.linalg as sla
@@ -24,6 +25,8 @@ from .errors import (
     SingularShiftError,
     SizeBudgetError,
 )
+
+log = logging.getLogger(__name__)
 
 MatrixLike = Union[np.ndarray, sp.spmatrix]
 
@@ -152,6 +155,11 @@ def _nearest_order(values: np.ndarray, shift: complex) -> np.ndarray:
     return np.lexsort((values.imag, values.real, np.abs(values - shift)))
 
 
+def _attempt_failed(failures: list, reason: str) -> None:
+    log.debug("eig_targeted: shift attempt failed, %s", reason)
+    failures.append(reason)
+
+
 def eig_targeted(
     a: MatrixLike,
     shift: complex,
@@ -187,6 +195,8 @@ def eig_targeted(
         raise MatrixValidationError(f"cannot request {count} eigenvalues of a {n}x{n} matrix")
     limit = TARGETED_DENSE_FALLBACK if dense_fallback is None else dense_fallback
     if n <= limit or count > n - 2:
+        log.debug("eig_targeted: dense solve of dimension %d (fallback limit %d, count %d)",
+                  n, limit, count)
         full = eig_dense(m.toarray())
         order = _nearest_order(full.eigenvalues, shift)[:count]
         values = full.eigenvalues[order]
@@ -229,11 +239,11 @@ def eig_targeted(
         except RuntimeError as exc:
             if "singular" in str(exc).lower():
                 singular = exc
-                failures.append(f"sigma={attempt}: singular factorization")
+                _attempt_failed(failures, f"sigma={attempt}: singular factorization")
                 continue
             raise EigenConvergenceError(f"shift-invert iteration failed: {exc}") from exc
         except spla.ArpackNoConvergence as exc:
-            failures.append(f"sigma={attempt}: no convergence")
+            _attempt_failed(failures, f"sigma={attempt}: no convergence")
             ritz = exc.eigenvalues
             continue
 
@@ -250,7 +260,7 @@ def eig_targeted(
                 residual_norms=residuals,
                 vector_condition=condition,
             )
-        failures.append(f"sigma={attempt}: residuals up to {residuals.max():.3e}")
+        _attempt_failed(failures, f"sigma={attempt}: residuals up to {residuals.max():.3e}")
         ritz = values
 
     if singular is not None and ritz is None:
@@ -261,6 +271,40 @@ def eig_targeted(
         f"{tol:.1e}: {'; '.join(failures)}",
         ritz_values=ritz,
     )
+
+
+def eig_solve(
+    a: MatrixLike,
+    shift: complex,
+    count: int,
+    tol: float = 1e-10,
+    seed: int = 0,
+    cache: Optional[Dict[tuple, EigResult]] = None,
+    charge: Optional[int] = None,
+) -> EigResult:
+    """The one spectral solve: :func:`eig_targeted`, memoized in ``cache``.
+
+    A :class:`SingularShiftError` is retried once at the suggested shift.  The
+    result is stored under ``(charge, shift, count, tol, seed)``, where
+    ``charge`` only tells apart the matrices sharing one cache (the sectors of
+    a decomposition).  A cached result is returned as is, so callers must
+    index rather than modify its arrays, and the matrix behind a cache must not
+    change once it has been solved.
+    """
+    key = (charge, shift, count, tol, seed)
+    if cache is not None and key in cache:
+        log.debug("eig_solve: reusing the solve for charge=%s shift=%s count=%d",
+                  charge, shift, count)
+        return cache[key]
+    try:
+        result = eig_targeted(a, shift, count, tol=tol, seed=seed)
+    except SingularShiftError as exc:
+        log.debug("eig_solve: singular factorization at shift %s; retrying at %s",
+                  shift, exc.suggested_shift)
+        result = eig_targeted(a, exc.suggested_shift, count, tol=tol, seed=seed)
+    if cache is not None:
+        cache[key] = result
+    return result
 
 
 def herm_sqrt(a: MatrixLike, clip_tol: float = 1e-12) -> np.ndarray:

@@ -18,10 +18,9 @@ from .errors import (
     DegenerateSteadyStateError,
     ExtractionError,
     MatrixValidationError,
-    SingularShiftError,
     SizeBudgetError,
 )
-from .linalg import DENSE_EIG_LIMIT, as_dense, eig_dense, eig_targeted
+from .linalg import DENSE_EIG_LIMIT, as_dense, eig_dense, eig_solve
 from .symmetry import SectorDecomposition, leading_order
 
 #: An eigenvalue is considered degenerate with the steady state below this.
@@ -78,12 +77,13 @@ def spectrum(
     count: Optional[int] = None,
     tol: float = 1e-10,
     seed: int = 0,
+    shift: complex = 0.0,
 ) -> SpectralResult:
     """Ordered spectrum of a generator or one of its symmetry sectors.
 
     ``count=None`` computes the full dense spectrum (dimension permitting);
-    otherwise the ``count`` eigenvalues nearest zero are computed with the
-    targeted solver and ordered.
+    otherwise the ``count`` eigenvalues nearest ``shift`` are computed with
+    the targeted solver, cached on ``target``, and ordered.
     """
     matrix, embed, liouv = _resolve(target, charge)
     n = matrix.shape[0]
@@ -94,11 +94,10 @@ def spectrum(
             )
         res = eig_dense(matrix.toarray() if hasattr(matrix, "toarray") else matrix)
     else:
-        count = min(count, n)
-        try:
-            res = eig_targeted(matrix, 0.0, count, tol=tol, seed=seed)
-        except SingularShiftError as exc:
-            res = eig_targeted(matrix, exc.suggested_shift, count, tol=tol, seed=seed)
+        # A generator has one matrix, so its cache key ignores ``charge``.
+        key_charge = charge if isinstance(target, SectorDecomposition) else None
+        res = eig_solve(matrix, shift, min(count, n), tol=tol, seed=seed,
+                        cache=target._eig_cache, charge=key_charge)
     order = leading_order(res.eigenvalues)
     values = res.eigenvalues[order]
     vectors = res.right_vectors[:, order]
@@ -109,6 +108,19 @@ def spectrum(
         liouvillian=liouv,
         residual_norms=res.residual_norms[order],
     )
+
+
+def distinct_from_leading(
+    values: np.ndarray, isolation_tol: float = ZERO_MULTIPLICITY_TOL
+) -> np.ndarray:
+    """The eigenvalues after the first that are not degenerate with it.
+
+    ``values`` is in the canonical ordering; entries within ``isolation_tol``
+    of ``values[0]`` are skipped and the rest keep their order.
+    """
+    values = np.asarray(values)
+    rest = values[1:]
+    return rest[np.abs(rest - values[0]) > isolation_tol]
 
 
 def canonical_physical_state(block: np.ndarray) -> Tuple[PhysicalState, complex]:
@@ -145,6 +157,7 @@ def steady_state(
     count: int = 6,
     tol: float = 1e-10,
     seed: int = 0,
+    shift: complex = 0.0,
 ) -> Tuple[PhysicalState, HeomState]:
     """Extract the stationary state from the null vector of the generator.
 
@@ -154,7 +167,8 @@ def steady_state(
     """
     matrix, _, liouv = _resolve(target, charge)
     n = matrix.shape[0]
-    result = spectrum(target, charge=charge, count=min(max(count, 2), n), tol=tol, seed=seed)
+    result = spectrum(target, charge=charge, count=min(max(count, 2), n), tol=tol,
+                      seed=seed, shift=shift)
     near_zero = np.flatnonzero(np.abs(result.eigenvalues) < ZERO_MULTIPLICITY_TOL)
     if near_zero.size == 0:
         raise ExtractionError(
@@ -176,6 +190,7 @@ def gap(
     tol: float = 1e-10,
     seed: int = 0,
     isolation_tol: float = ZERO_MULTIPLICITY_TOL,
+    shift: complex = 0.0,
 ) -> complex:
     """First eigenvalue beyond the stationary one, in the canonical ordering.
 
@@ -187,15 +202,15 @@ def gap(
     n = matrix.shape[0]
     if n < 2:
         raise MatrixValidationError("a 1-dimensional sector has no gap eigenvalue")
-    result = spectrum(target, charge=charge, count=min(max(count, 2), n), tol=tol, seed=seed)
-    lead = result.eigenvalues[0]
-    for value in result.eigenvalues[1:]:
-        if abs(value - lead) > isolation_tol:
-            return complex(value)
-    raise ExtractionError(
-        f"all {result.eigenvalues.size} computed eigenvalues are degenerate "
-        "with the leading one; increase count"
-    )
+    result = spectrum(target, charge=charge, count=min(max(count, 2), n), tol=tol,
+                      seed=seed, shift=shift)
+    rest = distinct_from_leading(result.eigenvalues, isolation_tol)
+    if rest.size == 0:
+        raise ExtractionError(
+            f"all {result.eigenvalues.size} computed eigenvalues are degenerate "
+            "with the leading one; increase count"
+        )
+    return complex(rest[0])
 
 
 def expectation(state, operator) -> Union[float, complex]:
@@ -263,12 +278,14 @@ def check_properties(
     count: int = 12,
     tol: float = 1e-10,
     seed: int = 0,
+    shift: complex = 0.0,
 ) -> PropertyReport:
     """Check the structural spectral properties of an assembled generator.
 
     ``mode='full'`` diagonalizes densely (dimension permitting);
     ``mode='sampled'`` checks the trace covector exactly but evaluates the
-    eigenvalue-based properties on the ``count`` eigenvalues nearest zero.
+    eigenvalue-based properties on the ``count`` eigenvalues nearest
+    ``shift``.
     """
     if mode not in ("full", "sampled"):
         raise MatrixValidationError("mode must be 'full' or 'sampled'")
@@ -284,7 +301,8 @@ def check_properties(
         result = spectrum(liouvillian, count=None)
         label = "full"
     else:
-        result = spectrum(liouvillian, count=min(count, liouvillian.dim), tol=tol, seed=seed)
+        result = spectrum(liouvillian, count=min(count, liouvillian.dim), tol=tol, seed=seed,
+                          shift=shift)
         label = "sampled"
 
     values = result.eigenvalues

@@ -16,13 +16,13 @@ generator; :func:`decompose` raises if the declared charges are wrong.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import MatrixValidationError, SingularShiftError, SymmetryViolationError
-from .linalg import EigResult, eig_targeted
+from .errors import MatrixValidationError, SymmetryViolationError
+from .linalg import EigResult, eig_solve
 
 if TYPE_CHECKING:  # pragma: no cover
     from .builder import HeomLiouvillian
@@ -114,7 +114,9 @@ class SectorDecomposition:
 
     ``sectors`` maps each charge to the sorted global basis ranks it owns and
     ``matrices`` holds the corresponding submatrices.  The sector of charge 0
-    contains the physical trace covector and hence the steady state.
+    contains the physical trace covector and hence the steady state.  Targeted
+    solves of the sectors are cached on the instance, so the matrices must not
+    change after analysis.
     """
 
     liouvillian: "HeomLiouvillian"
@@ -124,6 +126,7 @@ class SectorDecomposition:
     matrices: Dict[int, "np.ndarray"]
     off_sector_residual: float
     steady_sector_residual: float
+    _eig_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def charges_present(self) -> List[int]:
         return sorted(self.sectors)
@@ -227,17 +230,15 @@ def sector_leading_eigs(
     count: int,
     tol: float = 1e-10,
     seed: int = 0,
+    shift: complex = 0.0,
 ) -> EigResult:
-    """The ``count`` eigenvalues of one sector nearest zero, gap-ordered.
+    """The ``count`` eigenvalues of one sector nearest ``shift``, gap-ordered.
 
     Ordering is ascending ``|Re|`` with ties broken by ascending ``|Im|`` and
     then by the sign of the imaginary part (non-negative first).
     """
-    matrix = decomp.sector(charge)
-    try:
-        res = eig_targeted(matrix, 0.0, count, tol=tol, seed=seed)
-    except SingularShiftError as exc:
-        res = eig_targeted(matrix, exc.suggested_shift, count, tol=tol, seed=seed)
+    res = eig_solve(decomp.sector(charge), shift, count, tol=tol, seed=seed,
+                    cache=decomp._eig_cache, charge=charge)
     order = leading_order(res.eigenvalues)
     return EigResult(
         eigenvalues=res.eigenvalues[order],

@@ -51,3 +51,19 @@ def multiset_distance(a, b):
     d1, _ = cKDTree(tb).query(ta)
     d2, _ = cKDTree(ta).query(tb)
     return max(float(d1.max()), float(d2.max()))
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Record every call of ``linalg.eig_targeted`` (as ``(shift, count, kwargs)``)."""
+    from heomspectra import linalg
+
+    calls = []
+    original = linalg.eig_targeted
+
+    def spy(a, shift, count, **kwargs):
+        calls.append((shift, count, kwargs))
+        return original(a, shift, count, **kwargs)
+
+    monkeypatch.setattr(linalg, "eig_targeted", spy)
+    return calls

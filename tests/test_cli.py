@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from heomspectra.cli import build_model, main, parse_config, resolve_observables, run
+from heomspectra import cli
+from heomspectra.cli import build_model, execute_point, main, parse_config, resolve_observables, run
 from heomspectra.errors import ConfigError
 from heomspectra.linalg import write_triplets
 from heomspectra.operators import qubit_operators
@@ -198,3 +203,118 @@ class TestRun:
         config_path = write_config(tmp_path)
         assert main(["--config", str(config_path), "--out", str(tmp_path / "cli_out")]) == 0
         assert (tmp_path / "cli_out" / "results.csv").exists()
+
+
+
+def spy(monkeypatch, name):
+    """Wrap ``cli.<name>``; returns the list of keyword arguments of each call."""
+    calls = []
+    original = getattr(cli, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, wrapper)
+    return calls
+
+
+SSB_POINT = dict(
+    model="z2_lmg",
+    params={"gamma": 0.5, "kappa": 1.0, "omega": 1.0, "h": 0.5},
+    N=[8],
+    k_max=2,
+    sweep={"parameter": "g", "grid": [-2.9]},
+    analyses=["steady_state", "gap", "decompose", "sectors", "ssb"],
+    observables=["Sz", "Sx"],
+)
+SOLVER = {"count": 5, "tol": 1e-9, "seed": 7}
+
+
+class TestSolverOptions:
+    def test_point_solves_each_spectrum_once(self, tmp_path, eig_calls, monkeypatch):
+        decompositions = spy(monkeypatch, "decompose")
+        config = parse_config(write_config(tmp_path, **SSB_POINT))
+        _, rows = execute_point(config, 0, 8, -2.9)
+        assert ("ssb", "fidelity") in {(r["analysis"], r["key"]) for r in rows}
+        # the full generator, sector 0 and sector 1
+        assert len(eig_calls) == 3
+        assert len(decompositions) == 1
+
+    def test_config_shift_reaches_the_solver(self, tmp_path, eig_calls):
+        config = parse_config(write_config(tmp_path, **{**SSB_POINT, "solver": {"shift": 0.25}}))
+        execute_point(config, 0, 8, -2.9)
+        assert eig_calls and all(shift == 0.25 for shift, _, _ in eig_calls)
+
+    def _config(self, tmp_path, **overrides):
+        return parse_config(write_config(
+            tmp_path, solver={"count": SOLVER["count"], "tol": SOLVER["tol"]},
+            seed=SOLVER["seed"], epsilon=1e-2, k_limit=3, **overrides,
+        ))
+
+    @staticmethod
+    def _assert_configured(calls):
+        assert calls
+        for kwargs in calls:
+            assert {key: kwargs.get(key) for key in SOLVER} == SOLVER
+
+    def test_auto_k_max_uses_solver_options(self, tmp_path, monkeypatch):
+        calls = spy(monkeypatch, "auto_truncate")
+        execute_point(self._config(tmp_path, k_max="auto"), 0, 4, 0.2)
+        self._assert_configured(calls)
+
+    def test_converge_uses_solver_options(self, tmp_path, monkeypatch):
+        calls = spy(monkeypatch, "auto_truncate")
+        execute_point(self._config(tmp_path, analyses=["converge"]), 0, 4, 0.2)
+        self._assert_configured(calls)
+
+    def test_compare_uses_solver_options(self, tmp_path, monkeypatch):
+        names = ("auto_truncate", "auto_cutoff", "steady_expectation", "embedding_expectation")
+        calls = {name: spy(monkeypatch, name) for name in names}
+        execute_point(self._config(tmp_path, analyses=["compare_markovian"]), 0, 4, 0.2)
+        for name in names:
+            self._assert_configured(calls[name])
+
+
+def strip_generated(text):
+    return [line for line in text.splitlines() if not line.startswith("# generated=")]
+
+
+class TestCheckpoints:
+    def test_truncated_fragment_is_recomputed(self, tmp_path, caplog):
+        config = parse_config(write_config(tmp_path, analyses=["steady_state", "gap"]))
+        assert run(config) == 0
+        out = tmp_path / "out"
+        clean = (out / "results.csv").read_text()
+        fragment = out / "points" / "point_0000.json"
+        fragment.write_bytes(fragment.read_bytes()[:20])
+        assert main(["--config", str(tmp_path / "config.json")]) == 0
+        assert strip_generated((out / "results.csv").read_text()) == strip_generated(clean)
+        assert any("unreadable checkpoint" in r.getMessage() for r in caplog.records)
+        json.loads(fragment.read_text())  # rewritten whole
+
+    def test_no_partial_files_left(self, tmp_path):
+        config = parse_config(write_config(tmp_path))
+        assert run(config) == 0
+        names = sorted(p.name for p in (tmp_path / "out" / "points").iterdir())
+        assert names == ["point_0000.json", "point_0001.json"]
+
+
+@pytest.mark.parametrize("overrides", [
+    {"epsilon": "abc"},
+    {"params": {"gamma": -1.0, "kappa": 1.0, "omega": 1.0}},
+    {"solver": {"shift": "left"}},
+    {"solver": {"count": "six"}},
+    {"solver": {"tol": None}},
+])
+def test_bad_values_exit_2_without_traceback(tmp_path, overrides):
+    config_path = write_config(tmp_path, **overrides)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "heomspectra.cli", "--config", str(config_path)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr
+    assert "Traceback" not in proc.stderr
