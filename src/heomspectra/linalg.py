@@ -155,31 +155,6 @@ def _nearest_order(values: np.ndarray, shift: complex) -> np.ndarray:
     return np.lexsort((values.imag, values.real, np.abs(values - shift)))
 
 
-def shift_invert(a: sp.csc_matrix, sigma: complex) -> spla.LinearOperator:
-    """The operator ``(a - sigma I)^-1`` from one sparse LU factorization.
-
-    The ordering is minimum degree on ``A^T + A`` with diagonal pivots
-    preferred (SuperLU's symmetric mode), which roughly halves the fill of
-    SciPy's default column ordering on HEOM generators, whose sparsity
-    pattern is nearly symmetric.  Each solve takes one step of iterative
-    refinement against ``a`` to recover the accuracy lost by not pivoting
-    for size.  A singular factorization raises :class:`RuntimeError`.
-    """
-    shifted = (a - sigma * sp.identity(a.shape[0], dtype=complex, format="csc")).tocsc()
-    lu = spla.splu(
-        shifted,
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        x = lu.solve(b)
-        return x + lu.solve(b - shifted @ x)
-
-    return spla.LinearOperator(shifted.shape, matvec=solve, dtype=complex)
-
-
 def _attempt_failed(failures: list, reason: str) -> None:
     log.debug("eig_targeted: shift attempt failed, %s", reason)
     failures.append(reason)
@@ -195,10 +170,10 @@ def eig_targeted(
 ) -> EigResult:
     """The ``count`` eigenvalues nearest ``shift`` of a sparse square matrix.
 
-    Uses shift-invert Arnoldi iteration with the sparse LU of
-    :func:`shift_invert`; below ``dense_fallback`` (or whenever the Krylov
-    solver cannot be used) the full dense spectrum is computed and filtered
-    instead.  Residual norms are checked against ``tol``.
+    Uses shift-invert Arnoldi iteration with a sparse LU factorization; below
+    ``dense_fallback`` (or whenever the Krylov solver cannot be used) the full
+    dense spectrum is computed and filtered instead.  Residual norms are
+    checked against ``tol``.
 
     Raises
     ------
@@ -255,7 +230,6 @@ def eig_targeted(
                 csc,
                 k=ask,
                 sigma=attempt,
-                OPinv=shift_invert(csc, attempt),
                 which="LM",
                 tol=min(tol, 1e-10) * 1e-2,
                 v0=v0,
@@ -306,21 +280,18 @@ def eig_solve(
     tol: float = 1e-10,
     seed: int = 0,
     cache: Optional[Dict[tuple, EigResult]] = None,
-    charge: Optional[int] = None,
 ) -> EigResult:
     """The one spectral solve: :func:`eig_targeted`, memoized in ``cache``.
 
     A :class:`SingularShiftError` is retried once at the suggested shift.  The
-    result is stored under ``(charge, shift, count, tol, seed)``, where
-    ``charge`` only tells apart the matrices sharing one cache (the sectors of
-    a decomposition).  A cached result is returned as is, so callers must
+    result is stored under ``(shift, count, tol, seed)``; ``cache`` belongs to
+    the one matrix ``a``.  A cached result is returned as is, so callers must
     index rather than modify its arrays, and the matrix behind a cache must not
     change once it has been solved.
     """
-    key = (charge, shift, count, tol, seed)
+    key = (shift, count, tol, seed)
     if cache is not None and key in cache:
-        log.debug("eig_solve: reusing the solve for charge=%s shift=%s count=%d",
-                  charge, shift, count)
+        log.debug("eig_solve: reusing the solve for shift=%s count=%d", shift, count)
         return cache[key]
     try:
         result = eig_targeted(a, shift, count, tol=tol, seed=seed)

@@ -62,12 +62,13 @@ class SpectralResult:
 
 
 def _resolve(target: Target, charge: int):
-    """Return (matrix, embed, liouvillian) for a generator or one of its sectors."""
+    """Return (matrix, embed, liouvillian, solve cache) for a generator or one of its sectors."""
     if isinstance(target, SectorDecomposition):
         matrix = target.sector(charge)
-        return matrix, (lambda v: target.embed(charge, v)), target.liouvillian
+        return (matrix, (lambda v: target.embed(charge, v)), target.liouvillian,
+                target._eig_cache.setdefault(charge, {}))
     if isinstance(target, HeomLiouvillian):
-        return target.matrix, (lambda v: v), target
+        return target.matrix, (lambda v: v), target, target._eig_cache
     raise MatrixValidationError(f"cannot analyze object of type {type(target)!r}")
 
 
@@ -85,7 +86,7 @@ def spectrum(
     otherwise the ``count`` eigenvalues nearest ``shift`` are computed with
     the targeted solver, cached on ``target``, and ordered.
     """
-    matrix, embed, liouv = _resolve(target, charge)
+    matrix, embed, liouv, cache = _resolve(target, charge)
     n = matrix.shape[0]
     if count is None:
         if n > DENSE_EIG_LIMIT:
@@ -94,10 +95,7 @@ def spectrum(
             )
         res = eig_dense(matrix.toarray() if hasattr(matrix, "toarray") else matrix)
     else:
-        # A generator has one matrix, so its cache key ignores ``charge``.
-        key_charge = charge if isinstance(target, SectorDecomposition) else None
-        res = eig_solve(matrix, shift, min(count, n), tol=tol, seed=seed,
-                        cache=target._eig_cache, charge=key_charge)
+        res = eig_solve(matrix, shift, min(count, n), tol=tol, seed=seed, cache=cache)
     order = leading_order(res.eigenvalues)
     values = res.eigenvalues[order]
     vectors = res.right_vectors[:, order]
@@ -165,7 +163,7 @@ def steady_state(
     :data:`ZERO_MULTIPLICITY_TOL`; a degenerate null space raises
     :class:`DegenerateSteadyStateError` listing the near-zero eigenvalues.
     """
-    matrix, _, liouv = _resolve(target, charge)
+    matrix, _, liouv, _ = _resolve(target, charge)
     n = matrix.shape[0]
     result = spectrum(target, charge=charge, count=min(max(count, 2), n), tol=tol,
                       seed=seed, shift=shift)
@@ -198,7 +196,7 @@ def gap(
     are skipped, so for a generator with an exactly degenerate null space the
     gap is the first genuinely decaying eigenvalue.
     """
-    matrix, _, _ = _resolve(target, charge)
+    matrix, _, _, _ = _resolve(target, charge)
     n = matrix.shape[0]
     if n < 2:
         raise MatrixValidationError("a 1-dimensional sector has no gap eigenvalue")

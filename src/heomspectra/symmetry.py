@@ -238,7 +238,7 @@ def sector_leading_eigs(
     then by the sign of the imaginary part (non-negative first).
     """
     res = eig_solve(decomp.sector(charge), shift, count, tol=tol, seed=seed,
-                    cache=decomp._eig_cache, charge=charge)
+                    cache=decomp._eig_cache.setdefault(charge, {}))
     order = leading_order(res.eigenvalues)
     return EigResult(
         eigenvalues=res.eigenvalues[order],

@@ -17,7 +17,6 @@ from heomspectra.linalg import (
     herm_sqrt,
     kron,
     read_triplets,
-    shift_invert,
     vectorize,
     write_triplets,
 )
@@ -157,36 +156,6 @@ class TestEigTargeted:
         a = sp.identity(2000, dtype=complex, format="csr") * 0.0
         with pytest.raises((SingularShiftError, EigenConvergenceError)):
             eig_targeted(a, 0.0, 2, dense_fallback=10)
-
-
-class TestShiftInvert:
-    @staticmethod
-    def _relative_residual(a, sigma, x, b):
-        shifted = a - sigma * sp.identity(a.shape[0], format="csc")
-        return np.linalg.norm(shifted @ x - b) / np.linalg.norm(b)
-
-    def test_solves_the_shifted_system(self, rng):
-        n = 300
-        a = (sp.random(n, n, density=0.02, random_state=np.random.RandomState(5))
-             + 1j * sp.random(n, n, density=0.02, random_state=np.random.RandomState(6))
-             - 2.0 * sp.identity(n)).tocsc()
-        sigma = 0.3 - 0.1j
-        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x = shift_invert(a, sigma) @ b
-        assert self._relative_residual(a, sigma, x, b) <= 1e-12
-
-    def test_zero_diagonal_still_pivots(self, rng):
-        # A cyclic permutation has no usable diagonal pivot at sigma = 0.
-        n = 50
-        a = sp.csc_matrix((np.ones(n), (np.arange(n), np.roll(np.arange(n), 1))),
-                          shape=(n, n), dtype=complex)
-        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x = shift_invert(a, 0.0) @ b
-        assert self._relative_residual(a, 0.0, x, b) <= 1e-12
-
-    def test_singular_factorization_raises(self):
-        with pytest.raises(RuntimeError, match="(?i)singular"):
-            shift_invert(sp.csc_matrix((40, 40), dtype=complex), 0.0)
 
 
 class TestHermSqrt:

@@ -168,4 +168,4 @@ class TestSolverLogging:
         assert shifts == [0.0, 1e-9]
         assert any("retrying" in r.getMessage() for r in caplog.records)
         # the retried result is stored under the requested shift
-        assert (None, 0.0, 2, 1e-10, 0) in cache
+        assert (0.0, 2, 1e-10, 0) in cache
