@@ -55,7 +55,7 @@ import numpy as np
 
 from . import __version__
 from .builder import HeomLiouvillian, assemble, export_matrix
-from .convergence import auto_cutoff, auto_truncate, embedding_expectation, steady_expectation
+from .convergence import auto_cutoff, auto_truncate
 from .embedding import dimension_report
 from .errors import ConfigError, MatrixValidationError
 from .linalg import read_triplets
@@ -477,10 +477,7 @@ def _rows_compare(point: _Point):
     if heom_trace.selected is None or lm_trace.selected is None:
         raise RuntimeError("matched-tolerance truncation search was exhausted")
     k_sel, n_sel = heom_trace.selected, lm_trace.selected
-    delta = abs(
-        steady_expectation(model, matrix, k_sel, **opts)
-        - embedding_expectation(model, matrix, n_sel, **opts)
-    )
+    delta = abs(heom_trace.selected_expectation - lm_trace.selected_expectation)
     report = dimension_report(model, k_sel, cutoff_rule=n_sel)
     return [
         ("compare_markovian", "selected_k_max", float(k_sel), 0.0),
@@ -594,7 +591,12 @@ def run(config: RunConfig, workers: Optional[int] = None) -> int:
     for index, size, value in points:
         payload = _load_fragment(points_dir / f"point_{index:04d}.json")
         if payload is not None:
-            if payload.get("config_hash") == config.config_hash:
+            if payload.get("config_hash") != config.config_hash:
+                log.info("point %d: checkpoint is from another config; recomputing", index)
+            elif payload.get("version") != __version__:
+                log.info("point %d: checkpoint is from version %s, not %s; recomputing",
+                         index, payload.get("version"), __version__)
+            else:
                 if payload.get("error"):
                     failures.append(payload["error"])
                 results[index] = payload["rows"]
@@ -612,7 +614,8 @@ def run(config: RunConfig, workers: Optional[int] = None) -> int:
         partial = fragment.with_name(fragment.name + ".tmp")
         partial.write_text(
             json.dumps(
-                {"config_hash": config.config_hash, "rows": rows, "error": error},
+                {"config_hash": config.config_hash, "version": __version__,
+                 "rows": rows, "error": error},
                 sort_keys=True,
             )
         )

@@ -13,7 +13,7 @@ drops below a threshold (default 1e-4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,22 +35,36 @@ EigSelector = Callable[[ModelInstance, int], Sequence[complex]]
 
 @dataclass
 class ConvergenceTrace:
-    """History of a truncation scan and the selected truncation, if any."""
+    """History of a truncation scan and the selected truncation, if any.
+
+    ``expectations[i]`` is the steady-state expectation the scan computed at
+    ``truncations[i]``.
+    """
 
     truncations: List[int]
     measures: List[float]
     target: float
     selected: Optional[int]
+    expectations: List[float] = field(default_factory=list)
 
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.truncations, self.truncations[1:])):
             raise MatrixValidationError("truncation values must be strictly increasing")
         if any(m < 0 for m in self.measures):
             raise MatrixValidationError("measure values must be non-negative")
+        if self.expectations and len(self.expectations) != len(self.truncations):
+            raise MatrixValidationError("need one expectation per truncation")
 
     @property
     def exhausted(self) -> bool:
         return self.selected is None
+
+    @property
+    def selected_expectation(self) -> Optional[float]:
+        """The expectation at the selected truncation (None if exhausted)."""
+        if self.selected is None:
+            return None
+        return self.expectations[self.truncations.index(self.selected)]
 
 
 def steady_expectation(
@@ -152,6 +166,28 @@ def broken_sector_selector(count: int = 10) -> EigSelector:
     return select
 
 
+def _scan(
+    expectation_at: Callable[[int], float], start: int, limit: int, epsilon: float
+) -> ConvergenceTrace:
+    """First truncation in ``[start, limit]`` whose step to the next is below ``epsilon``."""
+    truncations: List[int] = []
+    measures: List[float] = []
+    expectations: List[float] = []
+    previous = expectation_at(start)
+    selected = None
+    for t in range(start, limit + 1):
+        current = expectation_at(t + 1)
+        value = abs(previous - current)
+        truncations.append(t)
+        measures.append(value)
+        expectations.append(previous)
+        if value < epsilon:
+            selected = t
+            break
+        previous = current
+    return ConvergenceTrace(truncations, measures, epsilon, selected, expectations)
+
+
 def auto_truncate(
     model: ModelInstance,
     observable: np.ndarray,
@@ -168,20 +204,8 @@ def auto_truncate(
         raise MatrixValidationError("epsilon must be > 0")
     if k_start < 0 or k_limit < k_start:
         raise MatrixValidationError("need k_start >= 0 and k_limit >= k_start")
-    truncations: List[int] = []
-    measures: List[float] = []
-    previous = steady_expectation(model, observable, k_start, **solver_opts)
-    selected = None
-    for k in range(k_start, k_limit + 1):
-        current = steady_expectation(model, observable, k + 1, **solver_opts)
-        value = abs(previous - current)
-        truncations.append(k)
-        measures.append(value)
-        if value < epsilon:
-            selected = k
-            break
-        previous = current
-    return ConvergenceTrace(truncations, measures, epsilon, selected)
+    return _scan(lambda k: steady_expectation(model, observable, k, **solver_opts),
+                 k_start, k_limit, epsilon)
 
 
 def auto_cutoff(
@@ -197,17 +221,5 @@ def auto_cutoff(
         raise MatrixValidationError("epsilon must be > 0")
     if n_start < 1 or n_limit < n_start:
         raise MatrixValidationError("need n_start >= 1 and n_limit >= n_start")
-    truncations: List[int] = []
-    measures: List[float] = []
-    previous = embedding_expectation(model, observable, n_start, **solver_opts)
-    selected = None
-    for n in range(n_start, n_limit + 1):
-        current = embedding_expectation(model, observable, n + 1, **solver_opts)
-        value = abs(previous - current)
-        truncations.append(n)
-        measures.append(value)
-        if value < epsilon:
-            selected = n
-            break
-        previous = current
-    return ConvergenceTrace(truncations, measures, epsilon, selected)
+    return _scan(lambda n: embedding_expectation(model, observable, n, **solver_opts),
+                 n_start, n_limit, epsilon)

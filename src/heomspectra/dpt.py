@@ -148,7 +148,9 @@ def ssb_pair(
     ill-defined and :class:`RealnessGateError` is raised.  The eigenvector's
     global phase is fixed by hermitizing its physical block (its trace
     vanishes for decaying eigenvectors, so a trace-based phase is degenerate),
-    the block is scaled to unit trace norm and split by eigenvalue sign.
+    its remaining sign by :func:`_canonical_sign`, so the labels do not follow
+    the sign the eigensolver returns; the block is then scaled to unit trace
+    norm and split by eigenvalue sign.
     """
     if decomp.spec.group_order != 2:
         raise MatrixValidationError(
@@ -164,15 +166,27 @@ def ssb_pair(
     vector = decomp.embed(broken_charge, leading.right_vectors[:, 0])
     block = HeomState(vector, liouv.hierarchy, liouv.d_s).physical()
     rotated, defect = hermitian_phase(block)
+    rotated = rotated * _canonical_sign(rotated)
     trace_norm = float(np.abs(np.linalg.eigvalsh((rotated + rotated.conj().T) / 2)).sum())
     if trace_norm < 1e-14:
         raise MatrixValidationError("broken-sector eigenvector has a null physical block")
-    rotated = rotated / trace_norm
-    # Deterministic overall sign: make the dominant eigenvalue positive.
-    w = np.linalg.eigvalsh((rotated + rotated.conj().T) / 2)
-    if abs(w.min()) > abs(w.max()):
-        rotated = -rotated
-    return split_phases(rotated)
+    return split_phases(rotated / trace_norm)
+
+
+def _canonical_sign(m: np.ndarray) -> float:
+    """The sign (+1 or -1) that fixes the labels of a matrix known up to sign.
+
+    The first entry in row-major order whose magnitude is within a relative
+    1e-8 of the largest is made to have a positive real part, or a positive
+    imaginary part if that is the larger one.  Magnitudes do not change under
+    negation, so ``m`` and ``-m`` get the same canonical form, and a tie
+    between equal entries goes to the first.
+    """
+    flat = m.ravel()
+    magnitudes = np.abs(flat)
+    z = flat[np.argmax(magnitudes >= (1 - 1e-8) * magnitudes.max())]
+    part = z.real if abs(z.real) >= abs(z.imag) else z.imag
+    return -1.0 if part < 0 else 1.0
 
 
 def extrapolate(values: Sequence[Tuple[float, float]]) -> float:

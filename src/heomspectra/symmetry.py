@@ -220,8 +220,13 @@ def decompose(liouvillian: "HeomLiouvillian", spec: SymmetrySpec | None = None) 
 
 
 def leading_order(values: np.ndarray) -> np.ndarray:
-    """Ordering by ascending ``|Re|``, then ``|Im|``, non-negative ``Im`` first."""
-    return np.lexsort((values.imag < 0, np.abs(values.imag), np.abs(values.real)))
+    """Ordering by ascending ``|Re|``, then ``|Im|``, non-negative ``Im`` first.
+
+    ``|Re|`` and ``|Im|`` are compared to 10 decimals, so the members of a
+    conjugate pair are ordered by the sign of ``Im``, not by round-off.
+    """
+    return np.lexsort((values.imag < 0, np.round(np.abs(values.imag), 10),
+                       np.round(np.abs(values.real), 10)))
 
 
 def sector_leading_eigs(

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from heomspectra import cli
+from heomspectra import __version__, cli, convergence
 from heomspectra.cli import build_model, execute_point, main, parse_config, resolve_observables, run
 from heomspectra.errors import ConfigError
 from heomspectra.linalg import write_triplets
@@ -206,16 +207,16 @@ class TestRun:
 
 
 
-def spy(monkeypatch, name):
-    """Wrap ``cli.<name>``; returns the list of keyword arguments of each call."""
+def spy(monkeypatch, name, module=cli):
+    """Wrap ``module.<name>``; returns the list of keyword arguments of each call."""
     calls = []
-    original = getattr(cli, name)
+    original = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         calls.append(kwargs)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -269,11 +270,31 @@ class TestSolverOptions:
         self._assert_configured(calls)
 
     def test_compare_uses_solver_options(self, tmp_path, monkeypatch):
-        names = ("auto_truncate", "auto_cutoff", "steady_expectation", "embedding_expectation")
-        calls = {name: spy(monkeypatch, name) for name in names}
+        calls = [spy(monkeypatch, name) for name in ("auto_truncate", "auto_cutoff")]
+        # the scans' own solves, which the comparison reads back
+        calls += [spy(monkeypatch, name, convergence)
+                  for name in ("steady_expectation", "embedding_expectation")]
         execute_point(self._config(tmp_path, analyses=["compare_markovian"]), 0, 4, 0.2)
-        for name in names:
-            self._assert_configured(calls[name])
+        for call in calls:
+            self._assert_configured(call)
+
+    def test_compare_adds_no_solve_to_the_scans(self, tmp_path, eig_calls):
+        config = self._config(tmp_path, analyses=["compare_markovian"])
+        _, rows = execute_point(config, 0, 4, 0.2)
+        point_solves = len(eig_calls)
+        model = build_model(config, 4, 0.2)
+        sz = resolve_observables(config, model)[0][1]
+        opts = cli._solver_opts(config)
+        eig_calls.clear()
+        heom = convergence.auto_truncate(model, sz, epsilon=config.epsilon, k_start=1,
+                                         k_limit=config.k_limit, **opts)
+        lm = convergence.auto_cutoff(model, sz, epsilon=config.epsilon, n_start=1,
+                                     n_limit=16, **opts)
+        assert point_solves == len(eig_calls)
+        # the same value the recomputed steady states give
+        delta = abs(convergence.steady_expectation(model, sz, heom.selected, **opts)
+                    - convergence.embedding_expectation(model, sz, lm.selected, **opts))
+        assert {r["key"]: r["re_value"] for r in rows}["delta[Sz]"] == delta
 
 
 def strip_generated(text):
@@ -292,6 +313,23 @@ class TestCheckpoints:
         assert strip_generated((out / "results.csv").read_text()) == strip_generated(clean)
         assert any("unreadable checkpoint" in r.getMessage() for r in caplog.records)
         json.loads(fragment.read_text())  # rewritten whole
+
+    def test_fragment_from_another_version_is_recomputed(self, tmp_path, caplog):
+        config = parse_config(write_config(tmp_path))
+        assert run(config) == 0
+        out = tmp_path / "out"
+        clean = (out / "results.csv").read_text()
+        fragment = out / "points" / "point_0000.json"
+        payload = json.loads(fragment.read_text())
+        assert payload["version"] == __version__
+        stale = [{**row, "re_value": 123.0} for row in payload["rows"]]
+        fragment.write_text(json.dumps({**payload, "version": "0.0.0", "rows": stale}))
+        caplog.set_level(logging.INFO, logger="heomspectra")
+        assert run(config) == 0
+        assert strip_generated((out / "results.csv").read_text()) == strip_generated(clean)
+        assert json.loads(fragment.read_text())["version"] == __version__
+        recomputed = [r for r in caplog.records if "from version 0.0.0" in r.getMessage()]
+        assert len(recomputed) == 1 and recomputed[0].levelno == logging.INFO
 
     def test_no_partial_files_left(self, tmp_path):
         config = parse_config(write_config(tmp_path))

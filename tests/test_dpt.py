@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from heomspectra import dpt
 from heomspectra.builder import assemble
 from heomspectra.dpt import (
     extrapolate,
@@ -155,6 +158,22 @@ class TestSsbPair:
         parity = np.diag([(-1.0) ** i for i in range(model.dim)])
         swapped = parity @ pair.rho_plus.matrix @ parity
         assert np.abs(swapped - pair.rho_minus.matrix).max() <= 1e-8
+
+    @pytest.mark.parametrize("factor", [-1.0, np.exp(0.7j)])
+    def test_labels_ignore_the_eigenvector_phase(self, broken_decomp, monkeypatch, factor):
+        decomp, model = broken_decomp
+        pair = ssb_pair(decomp, model.params["omega"])
+        original = dpt.sector_leading_eigs
+
+        def rephased(*args, **kwargs):
+            res = original(*args, **kwargs)
+            return dataclasses.replace(res, right_vectors=factor * res.right_vectors)
+
+        monkeypatch.setattr(dpt, "sector_leading_eigs", rephased)
+        other = ssb_pair(decomp, model.params["omega"])
+        tol = 0.0 if factor == -1.0 else 1e-10
+        assert np.abs(other.rho_plus.matrix - pair.rho_plus.matrix).max() <= tol
+        assert np.abs(other.rho_minus.matrix - pair.rho_minus.matrix).max() <= tol
 
     def test_gate_enforced(self):
         # weakly broken region: the tracked eigenvalue keeps a large

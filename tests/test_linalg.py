@@ -1,6 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+
+from heomspectra import linalg
 
 from heomspectra.errors import (
     EigenConvergenceError,
@@ -13,6 +17,7 @@ from heomspectra.linalg import (
     clean_sparse,
     devectorize,
     eig_dense,
+    eig_solve,
     eig_targeted,
     herm_sqrt,
     kron,
@@ -156,6 +161,65 @@ class TestEigTargeted:
         a = sp.identity(2000, dtype=complex, format="csr") * 0.0
         with pytest.raises((SingularShiftError, EigenConvergenceError)):
             eig_targeted(a, 0.0, 2, dense_fallback=10)
+
+
+def _pivoting_retries(caplog):
+    return [r for r in caplog.records if "partial pivoting" in r.getMessage()]
+
+
+class TestShiftInvert:
+    """The refined minimum-degree LU and its partial-pivoting retry."""
+
+    N = 800  # above the dense fallback
+
+    @pytest.fixture
+    def matrix(self):
+        state = np.random.RandomState(11)
+        a = (sp.random(self.N, self.N, density=0.01, random_state=state)
+             + 1j * sp.random(self.N, self.N, density=0.01, random_state=state)
+             - sp.diags(state.uniform(1.0, 3.0, self.N)))
+        return a.tocsr()
+
+    def _assert_nearest(self, a, res, shift, count):
+        dense_vals = np.linalg.eigvals(a.toarray())
+        nearest = dense_vals[np.argsort(np.abs(dense_vals - shift))[:count]]
+        assert multiset_distance(res.eigenvalues, nearest) <= 1e-8
+        assert res.residual_norms.max() <= 1e-10
+
+    def test_sparse_solve_matches_dense(self, matrix, caplog):
+        caplog.set_level(logging.DEBUG, logger="heomspectra")
+        shift = -1.0 + 0.1j
+        res = eig_targeted(matrix, shift, 6)
+        self._assert_nearest(matrix, res, shift, 6)
+        assert not _pivoting_retries(caplog)
+
+    def test_inaccurate_factorization_retries_with_pivoting(self, matrix, monkeypatch,
+                                                             caplog):
+        # The first factorization is of a matrix 1e-6 away, so its Ritz pairs
+        # miss tol on the real one and only the pivoted retry can succeed.
+        original = linalg._refined_inverse
+        noise = 1e-6 * sp.random(self.N, self.N, density=0.01,
+                                 random_state=np.random.RandomState(12)).tocsc()
+        monkeypatch.setattr(linalg, "_refined_inverse",
+                            lambda a, sigma: original(a + noise, sigma))
+        caplog.set_level(logging.DEBUG, logger="heomspectra")
+        shift = -1.0 + 0.1j
+        res = eig_targeted(matrix, shift, 6)
+        self._assert_nearest(matrix, res, shift, 6)
+        retries = _pivoting_retries(caplog)
+        assert len(retries) == 1 and retries[0].levelno == logging.DEBUG
+        assert not [r for r in caplog.records if "shift attempt failed" in r.getMessage()]
+
+    def test_singular_shift_is_retried_by_eig_solve(self, caplog):
+        # Explicit zeros: every displaced attempt collapses onto the shift, so
+        # both factorizations are singular at all three attempts.
+        a = sp.identity(700, dtype=complex, format="csr") * 0.0
+        with pytest.raises(SingularShiftError):
+            eig_targeted(a, 0.0, 2)
+        caplog.set_level(logging.DEBUG, logger="heomspectra")
+        res = eig_solve(a, 0.0, 2)
+        assert np.abs(res.eigenvalues).max() <= 1e-10
+        assert any("retrying at" in r.getMessage() for r in caplog.records)
 
 
 class TestHermSqrt:
