@@ -14,7 +14,6 @@ from .builder import (
     HeomState,
     adjoint_state,
     assemble,
-    block_templates,
     export_matrix,
     initial_state,
     propagate,
@@ -76,7 +75,6 @@ from .spectra import (
 from .symmetry import (
     SectorDecomposition,
     SymmetrySpec,
-    basis_charge,
     decompose,
     sector_leading_eigs,
 )

@@ -22,7 +22,7 @@ deterministic regardless of traversal order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,10 +42,8 @@ class HeomLiouvillian:
     """Sparse generator of the full hierarchy dynamics plus its metadata.
 
     ``mode_decays[p] = kappa_p + 1j * omega_p`` per damped mode, in the order
-    of ``model.slots()``.  ``max_real_part`` is a diagnostic filled in when a
-    full spectrum has been computed; at finite truncation small positive real
-    parts are expected and are not an error.  Targeted solves of ``matrix``
-    are cached on the instance, so the matrix must not change after analysis.
+    of ``model.slots()``.  Targeted solves of ``matrix`` are cached on the
+    instance, so the matrix must not change after analysis.
     """
 
     matrix: sp.csr_matrix
@@ -53,7 +51,6 @@ class HeomLiouvillian:
     d_s: int
     model: ModelInstance
     mode_decays: np.ndarray
-    max_real_part: Optional[float] = None
     _eig_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -107,70 +104,10 @@ class HeomState:
         return self.block_by_rank(0)
 
 
-@dataclass(frozen=True)
-class BlockTemplates:
-    """Vectorized building blocks for one damped mode of one bath.
-
-    ``drift`` builds the full diagonal block for a given ``(n, m)`` (it sums
-    the damping of every mode, not just this one); the remaining entries are
-    the couplings listed in the module docstring.
-    """
-
-    drift: Callable[[Sequence[int], Sequence[int]], sp.csr_matrix]
-    lower_n: Callable[[int], sp.csr_matrix]
-    lower_m: Callable[[int], sp.csr_matrix]
-    raise_n: sp.csr_matrix = field(repr=False)
-    raise_m: sp.csr_matrix = field(repr=False)
-
-
 def _mode_decays(model: ModelInstance) -> np.ndarray:
     return np.array(
         [term.decay + 1j * term.frequency for _, term in model.slots()],
         dtype=complex,
-    )
-
-
-def _drift_builder(model: ModelInstance):
-    d = model.dim
-    identity = sp.identity(d, dtype=complex, format="csr")
-    h = model.hamiltonian
-    h_part = clean_sparse(
-        -1j * (kron(h, identity) - kron(identity, h.T)), prune_tol=0.0
-    )
-    w = _mode_decays(model)
-    eye_d2 = sp.identity(d * d, dtype=complex, format="csr")
-
-    def drift(n: Sequence[int], m: Sequence[int]) -> sp.csr_matrix:
-        n = np.asarray(n)
-        m = np.asarray(m)
-        damping = np.sum((n - m) * 1j * w.imag + (n + m) * w.real)
-        return (h_part - damping * eye_d2).tocsr()
-
-    return drift
-
-
-def block_templates(model: ModelInstance, slot: int) -> BlockTemplates:
-    """Templates for one flat mode index (see ``model.slots()`` for the order)."""
-    slots = model.slots()
-    if not 0 <= slot < len(slots):
-        raise MatrixValidationError(f"slot {slot} out of range")
-    bath_index, term = slots[slot]
-    coupling = model.baths[bath_index].coupling
-    d = model.dim
-    identity = sp.identity(d, dtype=complex, format="csr")
-    left = kron(coupling, identity)
-    right_conj = kron(identity, coupling.conj())
-    lower_n_base = term.amplitude * left
-    lower_m_base = np.conj(term.amplitude) * right_conj
-    raise_n = (right_conj - kron(coupling.conj().T, identity)).tocsr()
-    raise_m = (left - kron(identity, coupling.T)).tocsr()
-
-    return BlockTemplates(
-        drift=_drift_builder(model),
-        lower_n=lambda n: clean_sparse(n * lower_n_base),
-        lower_m=lambda m: clean_sparse(m * lower_m_base),
-        raise_n=raise_n,
-        raise_m=raise_m,
     )
 
 
@@ -282,30 +219,30 @@ def initial_state(rho_s: np.ndarray, hierarchy: HierarchySpace) -> HeomState:
     return HeomState(vector, hierarchy, d)
 
 
-def propagate(
-    liouvillian: HeomLiouvillian,
-    state0: HeomState,
-    t_grid: Sequence[float],
-    rtol: float = 1e-9,
-    atol: float = 1e-11,
-) -> List[HeomState]:
-    """Solve the linear hierarchy dynamics on an ascending time grid from 0."""
+def _integrate(
+    matrix: sp.spmatrix, y0: np.ndarray, t_grid: Sequence[float], rtol: float, atol: float
+) -> np.ndarray:
+    """Solve ``dy/dt = matrix @ y`` on an ascending grid from 0; one column per time.
+
+    The one time integrator of the package, shared by the hierarchy and the
+    embedding pictures.
+    """
     t = np.asarray(t_grid, dtype=float)
     if t.size == 0 or abs(t[0]) > 0:
         raise MatrixValidationError("t_grid must start at 0")
     if t.size > 1 and np.any(np.diff(t) <= 0):
         raise MatrixValidationError("t_grid must be strictly ascending")
-    if state0.vector.size != liouvillian.dim:
-        raise MatrixValidationError("state dimension does not match the generator")
+    y0 = np.asarray(y0, dtype=complex)
+    if y0.shape != (matrix.shape[0],):
+        raise MatrixValidationError(
+            f"state of shape {y0.shape} does not match the generator dimension {matrix.shape[0]}"
+        )
     if t.size == 1:
-        return [HeomState(state0.vector.copy(), liouvillian.hierarchy, liouvillian.d_s)]
-
-    matrix = liouvillian.matrix
-
+        return y0.reshape(-1, 1).copy()
     solution = solve_ivp(
         lambda _, y: matrix @ y,
         (0.0, float(t[-1])),
-        state0.vector,
+        y0,
         method="DOP853",
         t_eval=t,
         rtol=rtol,
@@ -316,9 +253,21 @@ def propagate(
             "adaptive integration failed (likely stiffness); consider spectral "
             f"propagation through the eigendecomposition: {solution.message}"
         )
+    return solution.y
+
+
+def propagate(
+    liouvillian: HeomLiouvillian,
+    state0: HeomState,
+    t_grid: Sequence[float],
+    rtol: float = 1e-9,
+    atol: float = 1e-11,
+) -> List[HeomState]:
+    """Solve the linear hierarchy dynamics on an ascending time grid from 0."""
+    columns = _integrate(liouvillian.matrix, state0.vector, t_grid, rtol, atol)
     return [
-        HeomState(solution.y[:, i], liouvillian.hierarchy, liouvillian.d_s)
-        for i in range(solution.y.shape[1])
+        HeomState(columns[:, i], liouvillian.hierarchy, liouvillian.d_s)
+        for i in range(columns.shape[1])
     ]
 
 

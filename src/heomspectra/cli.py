@@ -55,7 +55,7 @@ import numpy as np
 
 from . import __version__
 from .builder import HeomLiouvillian, assemble, export_matrix
-from .convergence import auto_cutoff, auto_truncate
+from .convergence import ConvergenceTrace, auto_cutoff, auto_truncate
 from .embedding import dimension_report
 from .errors import ConfigError, MatrixValidationError
 from .linalg import read_triplets
@@ -341,32 +341,19 @@ def _solver_opts(config: RunConfig) -> dict:
     return {"count": config.eig_count, "tol": config.tol, "seed": config.seed}
 
 
-def _resolve_k_max(config: RunConfig, model: ModelInstance, observables) -> int:
-    if config.k_max is not None:
-        return config.k_max
-    trace = auto_truncate(
-        model, observables[0][1], epsilon=config.epsilon, k_start=1, k_limit=config.k_limit,
-        **_solver_opts(config),
-    )
-    if trace.selected is None:
-        raise RuntimeError(
-            f"auto truncation did not converge below {config.epsilon} by k_max={config.k_limit}"
-        )
-    return trace.selected
-
-
 @dataclass
 class _Point:
     """One grid point's inputs, shared by all of its analyses.
 
     The generator and its sector decomposition carry the cached solves, so
-    analyses asking for the same spectrum share one eigensolve.
+    analyses asking for the same spectrum share one eigensolve, and the HEOM
+    truncation scan runs at most once per point.
     """
 
     config: RunConfig
     model: ModelInstance
     observables: List[Tuple[str, np.ndarray]]
-    liouv: HeomLiouvillian
+    liouv: HeomLiouvillian = field(init=False)
 
     def solver(self, count: Optional[int] = None) -> dict:
         """The configured solver options and shift; ``count`` overrides the count."""
@@ -376,8 +363,26 @@ class _Point:
         return opts
 
     @functools.cached_property
+    def heom_trace(self) -> ConvergenceTrace:
+        """The ``auto_truncate`` scan of the first observable."""
+        config = self.config
+        return auto_truncate(self.model, self.observables[0][1], epsilon=config.epsilon,
+                             k_start=1, k_limit=config.k_limit, **_solver_opts(config))
+
+    @functools.cached_property
     def decomp(self) -> SectorDecomposition:
         return decompose(self.liouv)
+
+
+def _resolve_k_max(point: _Point) -> int:
+    if point.config.k_max is not None:
+        return point.config.k_max
+    if point.heom_trace.selected is None:
+        raise RuntimeError(
+            f"auto truncation did not converge below {point.config.epsilon} "
+            f"by k_max={point.config.k_limit}"
+        )
+    return point.heom_trace.selected
 
 
 def _rows_steady(point: _Point):
@@ -454,9 +459,7 @@ def _rows_ssb(point: _Point):
 
 
 def _rows_converge(point: _Point):
-    config = point.config
-    trace = auto_truncate(point.model, point.observables[0][1], epsilon=config.epsilon,
-                          k_start=1, k_limit=config.k_limit, **_solver_opts(config))
+    trace = point.heom_trace
     rows = [
         ("converge", f"C[k={k}]", measure, 0.0)
         for k, measure in zip(trace.truncations, trace.measures)
@@ -470,8 +473,7 @@ def _rows_compare(point: _Point):
     config, model = point.config, point.model
     opts = _solver_opts(config)
     name, matrix = point.observables[0]
-    heom_trace = auto_truncate(model, matrix, epsilon=config.epsilon,
-                               k_start=1, k_limit=config.k_limit, **opts)
+    heom_trace = point.heom_trace
     lm_trace = auto_cutoff(model, matrix, epsilon=config.epsilon,
                            n_start=1, n_limit=max(config.k_limit, 16), **opts)
     if heom_trace.selected is None or lm_trace.selected is None:
@@ -504,9 +506,9 @@ HANDLERS = {
 def execute_point(config: RunConfig, index: int, size: int, sweep_value: float):
     """Run every configured analysis at one grid point; returns (index, rows)."""
     model = build_model(config, size, sweep_value)
-    observables = resolve_observables(config, model)
-    k_max = _resolve_k_max(config, model, observables)
-    point = _Point(config, model, observables, assemble(model, k_max))
+    point = _Point(config, model, resolve_observables(config, model))
+    k_max = _resolve_k_max(point)
+    point.liouv = assemble(model, k_max)
     run_id = f"{config.config_hash[:8]}-{index:04d}"
     rows = []
     for analysis in config.analyses:

@@ -17,15 +17,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
 
-from .builder import HeomState
-from .errors import (
-    EmbeddingUnsupportedError,
-    MatrixValidationError,
-    SizeBudgetError,
-    StiffnessError,
-)
+from .builder import HeomState, _integrate
+from .errors import EmbeddingUnsupportedError, MatrixValidationError, SizeBudgetError
 from .hierarchy import count as hierarchy_count
 from .linalg import clean_sparse, devectorize, eig_solve, kron, vectorize
 from .models import ModelInstance
@@ -208,28 +202,8 @@ def propagate_lm(
     matrix: Optional[sp.csr_matrix] = None,
 ) -> np.ndarray:
     """Propagate the vectorized composite state; returns one column per time."""
-    t = np.asarray(t_grid, dtype=float)
-    if t.size == 0 or abs(t[0]) > 0:
-        raise MatrixValidationError("t_grid must start at 0")
-    if t.size > 1 and np.any(np.diff(t) <= 0):
-        raise MatrixValidationError("t_grid must be strictly ascending")
     lm = build_lm(spec) if matrix is None else matrix
-    if t.size == 1:
-        return np.asarray(rho0_vec, dtype=complex).reshape(-1, 1)
-    solution = solve_ivp(
-        lambda _, y: lm @ y,
-        (0.0, float(t[-1])),
-        np.asarray(rho0_vec, dtype=complex),
-        method="DOP853",
-        t_eval=t,
-        rtol=rtol,
-        atol=atol,
-    )
-    if not solution.success:
-        raise StiffnessError(
-            f"adaptive integration of the embedding failed: {solution.message}"
-        )
-    return solution.y
+    return _integrate(lm, rho0_vec, t_grid, rtol, atol)
 
 
 def correlation_check(

@@ -315,6 +315,4 @@ def check_properties(
     )
     for key in ("conjugate_pairing", "zero_eigenvalue", "max_real_part", "decaying_trace"):
         report.checked[key] = label
-    if mode == "full":
-        liouvillian.max_real_part = report.residuals["max_real_part"]
     return report

@@ -17,7 +17,7 @@ generator; :func:`decompose` raises if the declared charges are wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 
@@ -50,62 +50,9 @@ class SymmetrySpec:
         object.__setattr__(self, "system_charges", tuple(int(q) for q in self.system_charges))
         object.__setattr__(self, "bath_charges", tuple(int(c) for c in self.bath_charges))
 
-    def reduce(self, charge: int) -> int:
+    def reduce(self, charge):
+        """Reduce an integer charge, or an array of them, modulo the group order."""
         return charge % self.group_order if self.group_order else charge
-
-
-def basis_charge(
-    spec: SymmetrySpec,
-    pair: Tuple[int, int],
-    index: Sequence[int],
-    slot_baths: Sequence[int],
-) -> int:
-    """Charge of the basis element ``|i><j|`` at hierarchy index ``(n, m)``.
-
-    ``slot_baths[p]`` names the bath that mode ``p`` belongs to; ``index`` is
-    the flat ``(n, m)`` tuple of length ``2 * len(slot_baths)``.
-    """
-    i, j = pair
-    q = spec.system_charges
-    charge = q[i] - q[j]
-    n_modes = len(slot_baths)
-    for p, bath in enumerate(slot_baths):
-        charge += spec.bath_charges[bath] * (index[p] - index[n_modes + p])
-    return spec.reduce(charge)
-
-
-def validate_model_charges(spec: SymmetrySpec, model) -> float:
-    """Largest matrix element violating the declared charge pattern.
-
-    The Hamiltonian must connect equal system charges and each coupling
-    operator ``L_l`` must shift the system charge by exactly
-    ``-bath_charges[l]`` (mod the group order).  Returns the worst violating
-    magnitude, 0.0 when the assignment is consistent.
-    """
-    q = np.asarray(spec.system_charges)
-    d = model.dim
-    if q.size != d:
-        raise MatrixValidationError(
-            f"{q.size} system charges for a dimension-{d} model"
-        )
-    if len(spec.bath_charges) != len(model.baths):
-        raise MatrixValidationError(
-            f"{len(spec.bath_charges)} bath charges for {len(model.baths)} baths"
-        )
-    diff = q[:, None] - q[None, :]
-    worst = 0.0
-
-    def _reduced(x):
-        return np.mod(x, spec.group_order) if spec.group_order else x
-
-    bad = _reduced(diff) != 0
-    if bad.any():
-        worst = max(worst, float(np.abs(model.hamiltonian[bad]).max()))
-    for charge, bath in zip(spec.bath_charges, model.baths):
-        bad = _reduced(diff + charge) != 0
-        if bad.any():
-            worst = max(worst, float(np.abs(bath.coupling[bad]).max()))
-    return worst
 
 
 @dataclass
@@ -149,9 +96,12 @@ class SectorDecomposition:
 def decompose(liouvillian: "HeomLiouvillian", spec: SymmetrySpec | None = None) -> SectorDecomposition:
     """Split the generator into charge sectors, verifying block-diagonality.
 
-    Every nonzero entry must connect equal charges; the worst off-sector
-    entry above :data:`OFF_SECTOR_TOL` raises :class:`SymmetryViolationError`,
-    which signals a wrong :class:`SymmetrySpec` rather than a numerical issue.
+    This is the one place that evaluates the charge rule of the module
+    docstring; a spec whose charge counts do not match the model raises
+    :class:`MatrixValidationError`.  Every nonzero entry must connect equal
+    charges; the worst off-sector entry above :data:`OFF_SECTOR_TOL` raises
+    :class:`SymmetryViolationError`, which signals a wrong
+    :class:`SymmetrySpec` rather than a numerical issue.
     """
     if spec is None:
         spec = liouvillian.model.symmetry
@@ -163,15 +113,17 @@ def decompose(liouvillian: "HeomLiouvillian", spec: SymmetrySpec | None = None) 
     q = np.asarray(spec.system_charges, dtype=np.int64)
     if q.size != d:
         raise MatrixValidationError(f"{q.size} system charges for block size {d}")
+    if len(spec.bath_charges) != len(liouvillian.model.baths):
+        raise MatrixValidationError(
+            f"{len(spec.bath_charges)} bath charges for {len(liouvillian.model.baths)} baths"
+        )
     pair_charge = (q[:, None] - q[None, :]).ravel()
 
     bath_c = np.asarray(spec.bath_charges, dtype=np.int64)[slot_baths]
     idx = np.asarray(space.indices, dtype=np.int64)
     mode_charge = (idx[:, : space.n_modes] - idx[:, space.n_modes :]) @ bath_c
 
-    charges = (mode_charge[:, None] + pair_charge[None, :]).ravel()
-    if spec.group_order:
-        charges = np.mod(charges, spec.group_order)
+    charges = spec.reduce((mode_charge[:, None] + pair_charge[None, :]).ravel())
 
     matrix = liouvillian.matrix.tocoo()
     bad = charges[matrix.row] != charges[matrix.col]

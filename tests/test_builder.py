@@ -5,7 +5,6 @@ from heomspectra.builder import (
     HeomState,
     adjoint_state,
     assemble,
-    block_templates,
     export_matrix,
     initial_state,
     propagate,
@@ -48,40 +47,56 @@ def hand_blocks(model):
     return drift, lower_n, lower_m, raise_n, -raise_n.conj().T
 
 
+def block(liouv, row, col):
+    """The block of the assembled matrix at hierarchy indices ``(row, col)``."""
+    d2 = liouv.d_s ** 2
+    r, c = liouv.hierarchy.rank(row), liouv.hierarchy.rank(col)
+    return liouv.matrix[r * d2 : (r + 1) * d2, c * d2 : (c + 1) * d2].toarray()
+
+
 class TestBlockTemplates:
+    """The coupling blocks that ``assemble`` places, sliced out by rank."""
+
     def test_zero_hamiltonian_drift(self):
         ops = qubit_operators()
         bath = BathSpec(ops["sigma_minus"], (BathTerm(0.3, 0.0, 2.0),))
         model = custom(np.zeros((2, 2)), [bath])
-        templates = block_templates(model, 0)
-        drift = templates.drift((1,), (1,)).toarray()
+        drift = block(assemble(model, 2), (1, 1), (1, 1))
         assert np.abs(drift + 4.0 * np.eye(4)).max() <= 1e-14  # -2 kappa * identity
 
     def test_lowering_coupling_vanishes_at_zero_index(self, rng):
         model = random_qubit_model(rng)
-        templates = block_templates(model, 0)
-        assert templates.lower_n(0).nnz == 0
+        liouv = assemble(model, 3)
+        space = liouv.hierarchy
+        for n, m in space.indices:
+            # the lowering coupling from (n - 1, m) carries the weight n
+            expected = {(n, m), (n, m - 1), (n + 1, m), (n, m + 1)}
+            if n:
+                expected.add((n - 1, m))
+            nonzero = {
+                col for col in space.indices if np.abs(block(liouv, (n, m), col)).max() > 0
+            }
+            assert nonzero == expected & set(space.indices)
 
     def test_raising_block_pattern(self):
         ops = qubit_operators()
         bath = BathSpec(ops["sigma_minus"], (BathTerm(0.3, 0.0, 2.0),))
         model = custom(np.zeros((2, 2)), [bath])
-        templates = block_templates(model, 0)
         eye = np.eye(2)
         expected = np.kron(eye, ops["sigma_minus"].conj()) - np.kron(
             ops["sigma_minus"].conj().T, eye
         )
-        assert np.abs(templates.raise_n.toarray() - expected).max() == 0
+        assert np.abs(block(assemble(model, 1), (0, 0), (1, 0)) - expected).max() == 0
 
     def test_templates_match_hand_blocks(self, rng):
         model = random_qubit_model(rng)
-        templates = block_templates(model, 0)
+        liouv = assemble(model, 3)
         drift, lower_n, lower_m, raise_n, raise_m = hand_blocks(model)
-        assert np.abs(templates.drift((2,), (1,)).toarray() - drift(2, 1)).max() <= 1e-14
-        assert np.abs(templates.lower_n(2).toarray() - lower_n(2)).max() <= 1e-14
-        assert np.abs(templates.lower_m(3).toarray() - lower_m(3)).max() <= 1e-14
-        assert np.abs(templates.raise_n.toarray() - raise_n).max() <= 1e-14
-        assert np.abs(templates.raise_m.toarray() - raise_m).max() <= 1e-14
+        assert np.abs(block(liouv, (2, 1), (2, 1)) - drift(2, 1)).max() <= 1e-14
+        assert np.abs(block(liouv, (2, 0), (1, 0)) - lower_n(2)).max() <= 1e-14
+        assert np.abs(block(liouv, (0, 3), (0, 2)) - lower_m(3)).max() <= 1e-14
+        assert np.abs(block(liouv, (0, 0), (1, 0)) - raise_n).max() <= 1e-14
+        assert np.abs(block(liouv, (0, 0), (0, 1)) - raise_m).max() <= 1e-14
 
 
 class TestAssembleStructure:
@@ -231,8 +246,16 @@ class TestPropagate:
         with pytest.raises(MatrixValidationError):
             propagate(liouv, state, [0.0, 2.0, 1.0])
 
+    def test_state_dimension_validation(self, qubit_decay_model):
+        liouv = assemble(qubit_decay_model, 1)
+        short = HeomState(np.ones(4), assemble(qubit_decay_model, 0).hierarchy, 2)
+        for grid in ([0.0], [0.0, 1.0]):
+            with pytest.raises(MatrixValidationError):
+                propagate(liouv, short, grid)
+
     def test_step_collapse_maps_to_stiffness_error(self, qubit_decay_model, monkeypatch):
         from heomspectra import builder as builder_module
+        from heomspectra.embedding import EmbeddingSpec, initial_product_state, propagate_lm
         from heomspectra.errors import StiffnessError
 
         class FailedSolution:
@@ -245,6 +268,9 @@ class TestPropagate:
         state = initial_state(np.eye(2) / 2, liouv.hierarchy)
         with pytest.raises(StiffnessError, match="spectral"):
             propagate(liouv, state, [0.0, 1.0])
+        spec = EmbeddingSpec(qubit_decay_model, (2,))
+        with pytest.raises(StiffnessError, match="spectral"):
+            propagate_lm(spec, initial_product_state(spec, np.eye(2) / 2), [0.0, 1.0])
 
 
 def test_export_round_trip(tmp_path, qubit_decay_model):

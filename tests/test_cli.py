@@ -278,6 +278,23 @@ class TestSolverOptions:
         for call in calls:
             self._assert_configured(call)
 
+    def test_point_runs_one_truncation_scan(self, tmp_path, eig_calls, monkeypatch):
+        scans = spy(monkeypatch, "auto_truncate")
+        config = self._config(tmp_path, k_max="auto", analyses=["converge", "compare_markovian"])
+        _, rows = execute_point(config, 0, 4, 0.2)
+        assert len(scans) == 1
+        point_solves = len(eig_calls)
+        model = build_model(config, 4, 0.2)
+        sz = resolve_observables(config, model)[0][1]
+        opts = cli._solver_opts(config)
+        eig_calls.clear()
+        heom = convergence.auto_truncate(model, sz, epsilon=config.epsilon, k_start=1,
+                                         k_limit=config.k_limit, **opts)
+        convergence.auto_cutoff(model, sz, epsilon=config.epsilon, n_start=1, n_limit=16, **opts)
+        # k_max, converge and compare_markovian share the scan; only the cutoff scan is added
+        assert point_solves == len(eig_calls)
+        assert {int(row["k_max"]) for row in rows} == {heom.selected}
+
     def test_compare_adds_no_solve_to_the_scans(self, tmp_path, eig_calls):
         config = self._config(tmp_path, analyses=["compare_markovian"])
         _, rows = execute_point(config, 0, 4, 0.2)

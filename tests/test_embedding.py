@@ -162,6 +162,30 @@ class TestOracleEquivalence:
         assert np.abs(heom_sz - lm_sz).max() <= 1e-6
 
 
+class TestPropagateLm:
+    @pytest.mark.parametrize("grid", [[0.0], [0.0, 1.0]])
+    def test_state_dimension_validation(self, qubit_decay_model, grid):
+        spec = EmbeddingSpec(qubit_decay_model, (2,))
+        assert build_lm(spec).shape == (36, 36)
+        with pytest.raises(MatrixValidationError):
+            propagate_lm(spec, np.ones(5, dtype=complex), grid)
+
+    def test_grid_validation(self, qubit_decay_model):
+        spec = EmbeddingSpec(qubit_decay_model, (2,))
+        rho0 = initial_product_state(spec, np.eye(2) / 2)
+        for grid in ([1.0, 2.0], [0.0, 2.0, 1.0], []):
+            with pytest.raises(MatrixValidationError):
+                propagate_lm(spec, rho0, grid)
+
+    def test_single_point_returns_a_copy(self, qubit_decay_model):
+        spec = EmbeddingSpec(qubit_decay_model, (2,))
+        rho0 = initial_product_state(spec, np.eye(2) / 2)
+        cols = propagate_lm(spec, rho0, [0.0])
+        assert cols.shape == (36, 1) and np.array_equal(cols[:, 0], rho0)
+        cols[0, 0] += 1.0
+        assert not np.array_equal(cols[:, 0], rho0)
+
+
 @pytest.fixture(scope="module")
 def steady_pair():
     model = make_qubit_decay()

@@ -123,7 +123,6 @@ class TestCheckProperties:
         assert report.residuals["conjugate_pairing"] <= 1e-10
         assert report.residuals["trace_covector"] <= 1e-12
         assert report.residuals["zero_eigenvalue"] <= 1e-10
-        assert liouv.max_real_part == report.residuals["max_real_part"]
 
     def test_sampled_mode(self, qubit_decay_model):
         liouv = assemble(qubit_decay_model, 5)

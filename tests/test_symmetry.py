@@ -3,14 +3,8 @@ import pytest
 
 from heomspectra.builder import assemble
 from heomspectra.errors import MatrixValidationError, SymmetryViolationError
-from heomspectra.models import two_mode_dicke, z2_lmg
-from heomspectra.symmetry import (
-    SymmetrySpec,
-    basis_charge,
-    decompose,
-    sector_leading_eigs,
-    validate_model_charges,
-)
+from heomspectra.models import BathSpec, BathTerm, custom, two_mode_dicke, z2_lmg
+from heomspectra.symmetry import SymmetrySpec, decompose, sector_leading_eigs
 
 from conftest import multiset_distance
 
@@ -26,25 +20,51 @@ class TestSpecAndCharges:
         u1 = SymmetrySpec((0, 1), (1,), group_order=0)
         assert u1.reduce(-3) == -3
 
-    def test_trivial_charges(self):
+    def test_trivial_charges(self, qubit_decay_model):
         spec = SymmetrySpec((0, 0), (0,), group_order=0)
-        assert basis_charge(spec, (0, 1), (2, 1), [0]) == 0
+        liouv = assemble(qubit_decay_model, 3)
+        # element |0><1| at hierarchy index (n, m) = (2, 1)
+        assert charge_at(decompose(liouv, spec), (2, 1), (0, 1)) == 0
 
     def test_z2_rule(self):
+        model = z2_lmg(2, -1.0, 0.5, 1.0, 1.0, 0.5)
         spec = SymmetrySpec((0, 1, 2), (1,), group_order=2)
         # diagonal element at hierarchy index (n, m) = (1, 0)
-        assert basis_charge(spec, (1, 1), (1, 0), [0]) == 1
+        assert charge_at(decompose(assemble(model, 1), spec), (1, 0), (1, 1)) == 1
 
     def test_u1_neighbor_pair(self):
-        spec = SymmetrySpec(tuple(range(5)), (1, -1), group_order=0)
-        assert basis_charge(spec, (3, 2), (0, 0, 0, 0), [0, 1]) == 1
-        assert basis_charge(spec, (0, 0), (1, 0, 0, 1), [0, 1]) == 2
+        model = neighbor_pair_model()
+        decomp = decompose(assemble(model, 2), SymmetrySpec(tuple(range(5)), (1, -1)))
+        assert charge_at(decomp, (0, 0, 0, 0), (3, 2)) == 1
+        assert charge_at(decomp, (1, 0, 0, 1), (0, 0)) == 2
 
     def test_model_charge_validation(self):
         model = z2_lmg(4, -1.0, 0.5, 1.0, 1.0, 0.5)
-        assert validate_model_charges(model.symmetry, model) == 0.0
-        wrong = SymmetrySpec(tuple(range(5)), (0,), group_order=2)
-        assert validate_model_charges(wrong, model) > 0.1
+        assert decompose(assemble(model, 2), model.symmetry).off_sector_residual == 0.0
+
+    @pytest.mark.parametrize("bath_charges", [(1,), (1, -1, 5)])
+    def test_bath_charge_count(self, bath_charges):
+        model = two_mode_dicke(2, 1.2, 1.0, 5.0, 5.0)
+        spec = SymmetrySpec(model.symmetry.system_charges, bath_charges)
+        with pytest.raises(MatrixValidationError):
+            decompose(assemble(model, 1), spec)
+
+
+def charge_at(decomp, index, pair):
+    """Charge of ``|i><j|`` at hierarchy index ``(n, m)``, read from ``decompose``."""
+    d = decomp.liouvillian.d_s
+    i, j = pair
+    return decomp.charges[decomp.liouvillian.hierarchy.rank(index) * d * d + i * d + j]
+
+
+def neighbor_pair_model():
+    """Five levels with a nearest-neighbor lowering bath and a raising bath."""
+    lower = np.diag(np.ones(4), 1)
+    return custom(
+        np.diag(np.arange(5.0)),
+        [BathSpec(lower, (BathTerm(0.3, 0.5, 1.0),)),
+         BathSpec(lower.T, (BathTerm(0.2, 0.4, 1.0),))],
+    )
 
 
 class TestDecompose:
