@@ -201,6 +201,10 @@ def parse_config(path) -> RunConfig:
             observables.append(ObservableSpec(str(entry["name"]), entry.get("file")))
         else:
             raise ConfigError(f"observables[{i}]", "must be a name or {name, file}")
+    # The truncation scans converge on the first observable.
+    if not observables and (k_max is None or {"converge", "compare_markovian"} & set(analyses)):
+        raise ConfigError("observables", "must be non-empty for k_max 'auto', "
+                          "converge or compare_markovian")
 
     solver = raw.get("solver", {})
     if not isinstance(solver, dict):

@@ -184,9 +184,7 @@ def steady_state_lm(
     """Stationary state of the embedding: (full matrix, reduced system matrix)."""
     lm = build_lm(spec) if matrix is None else matrix
     res = eig_solve(lm, 0.0, min(count, lm.shape[0]), tol=tol, seed=seed)
-    order = np.argsort(np.abs(res.eigenvalues))
-    vec = res.right_vectors[:, order[0]]
-    rho = devectorize(vec, spec.hilbert_dim)
+    rho = devectorize(res.right_vectors[:, 0], spec.hilbert_dim)
     rho = rho / np.trace(rho)
     rho = (rho + rho.conj().T) / 2
     rho = rho / np.trace(rho).real

@@ -183,35 +183,30 @@ def _refined_inverse(a: sp.csc_matrix, sigma: complex) -> spla.LinearOperator:
     return spla.LinearOperator(shifted.shape, matvec=solve, dtype=complex)
 
 
-def _attempt_failed(failures: list, reason: str) -> None:
-    log.debug("eig_targeted: shift attempt failed, %s", reason)
-    failures.append(reason)
-
-
 def eig_targeted(
     a: MatrixLike,
     shift: complex,
     count: int,
     tol: float = 1e-10,
-    dense_fallback: Optional[int] = None,
     seed: int = 0,
 ) -> EigResult:
     """The ``count`` eigenvalues nearest ``shift`` of a sparse square matrix.
 
-    Uses shift-invert Arnoldi iteration with the refined minimum-degree LU of
-    :func:`_refined_inverse`; a shift attempt whose residuals miss ``tol`` (or
-    whose factorization fails) is repeated once with SciPy's default
-    partial-pivoting LU.  Below ``dense_fallback`` (or whenever the Krylov
-    solver cannot be used) the full dense spectrum is computed and filtered
-    instead.  Residual norms are checked against ``tol``.
+    Up to :data:`TARGETED_DENSE_FALLBACK` (or when nearly the whole spectrum
+    is asked for) the full dense spectrum is computed and filtered.  Above it
+    one shift-invert Arnoldi iteration runs on the refined minimum-degree LU
+    of :func:`_refined_inverse` at a slightly displaced shift, and the
+    residual norms are checked against ``tol``.  There is no retry: each
+    failure raises at once.
 
     Raises
     ------
     SingularShiftError
-        If the pivoted factorization of ``A - shift`` is singular; the error
-        carries a suggested perturbed shift.
+        If the factorization hits a zero pivot; the error carries a suggested
+        perturbed shift, to be set as ``solver.shift``.
     EigenConvergenceError
-        If the iteration fails or residuals exceed ``tol``.
+        If the iteration does not converge or residuals exceed ``tol``; the
+        error carries the Ritz values obtained.
     """
     if count < 1:
         raise MatrixValidationError("count must be >= 1")
@@ -223,10 +218,9 @@ def eig_targeted(
         raise MatrixValidationError("eig_targeted requires a square matrix")
     if count > n:
         raise MatrixValidationError(f"cannot request {count} eigenvalues of a {n}x{n} matrix")
-    limit = TARGETED_DENSE_FALLBACK if dense_fallback is None else dense_fallback
-    if n <= limit or count > n - 2:
+    if n <= TARGETED_DENSE_FALLBACK or count > n - 2:
         log.debug("eig_targeted: dense solve of dimension %d (fallback limit %d, count %d)",
-                  n, limit, count)
+                  n, TARGETED_DENSE_FALLBACK, count)
         full = eig_dense(m.toarray())
         order = _nearest_order(full.eigenvalues, shift)[:count]
         values = full.eigenvalues[order]
@@ -247,73 +241,47 @@ def eig_targeted(
 
     # A shift sitting exactly on an eigenvalue (the usual case when targeting
     # the stationary state at 0) poisons the factorization and yields spurious
-    # Ritz pairs, so a slightly displaced shift is tried first; the
+    # Ritz pairs, so the factorization uses a slightly displaced shift; the
     # eigenvalues nearest the *requested* shift are then selected from the
     # larger Ritz set, so the displacement does not change the result.
-    attempts = [shift - 1e-3 * scale, shift, shift - 1e-2 * scale * (1 + 0.1j)]
-    failures = []
-    singular = None
-    ritz = None
-    for attempt in attempts:
-        # The refined minimum-degree LU first, then the LU ARPACK builds itself
-        # (SciPy's default, with partial pivoting); only a failure of the
-        # pivoted one counts against the attempt.
-        for pivoted in (False, True):
-            try:
-                opinv = None if pivoted else _refined_inverse(csc, attempt)
-                values, vectors = spla.eigs(
-                    csc,
-                    k=ask,
-                    sigma=attempt,
-                    OPinv=opinv,
-                    which="LM",
-                    tol=min(tol, 1e-10) * 1e-2,
-                    v0=v0,
-                    ncv=ncv,
-                    maxiter=max(100, 60 * ask),
-                )
-            except spla.ArpackNoConvergence as exc:
-                reason, candidates = "no convergence", exc.eigenvalues
-            except RuntimeError as exc:
-                is_singular = "singular" in str(exc).lower()
-                if pivoted and not is_singular:
-                    raise EigenConvergenceError(
-                        f"shift-invert iteration failed: {exc}") from exc
-                reason = "singular factorization" if is_singular else str(exc)
-                candidates = None
-                if pivoted:
-                    singular = exc
-            else:
-                vectors = _normalize_columns(vectors)
-                order = _nearest_order(values, shift)[:count]
-                values = values[order]
-                vectors = vectors[:, order]
-                residuals = _residuals(m, values, vectors)
-                if np.all(residuals <= tol):
-                    condition = float(np.linalg.cond(vectors)) if count > 1 else 1.0
-                    return EigResult(
-                        eigenvalues=values,
-                        right_vectors=vectors,
-                        residual_norms=residuals,
-                        vector_condition=condition,
-                    )
-                reason = f"residuals up to {residuals.max():.3e}"
-                candidates = values
-            if not pivoted:
-                log.debug("eig_targeted: sigma=%s without pivoting: %s; "
-                          "retrying with partial pivoting", attempt, reason)
-                continue
-            _attempt_failed(failures, f"sigma={attempt}: {reason}")
-            if candidates is not None:
-                ritz = candidates
-
-    if singular is not None and ritz is None:
-        step = max(1e-12, 1e-9 * scale)
-        raise SingularShiftError(shift, shift + step) from singular
-    raise EigenConvergenceError(
-        "targeted eigensolve failed to reach tol "
-        f"{tol:.1e}: {'; '.join(failures)}",
-        ritz_values=ritz,
+    sigma = shift - 1e-3 * scale
+    try:
+        opinv = _refined_inverse(csc, sigma)
+    except RuntimeError as exc:  # a zero pivot
+        raise SingularShiftError(shift, shift + max(1e-12, 1e-9 * scale)) from exc
+    try:
+        values, vectors = spla.eigs(
+            csc,
+            k=ask,
+            sigma=sigma,
+            OPinv=opinv,
+            which="LM",
+            tol=min(tol, 1e-10) * 1e-2,
+            v0=v0,
+            ncv=ncv,
+            maxiter=max(100, 60 * ask),
+        )
+    except spla.ArpackError as exc:  # non-convergence carries its Ritz values
+        raise EigenConvergenceError(
+            f"shift-invert iteration at sigma={sigma} failed: {exc}",
+            ritz_values=getattr(exc, "eigenvalues", None),
+        ) from exc
+    vectors = _normalize_columns(vectors)
+    order = _nearest_order(values, shift)[:count]
+    values = values[order]
+    vectors = vectors[:, order]
+    residuals = _residuals(m, values, vectors)
+    if not np.all(residuals <= tol):
+        raise EigenConvergenceError(
+            f"targeted eigensolve at sigma={sigma} failed to reach tol {tol:.1e}: "
+            f"residuals up to {residuals.max():.3e}",
+            ritz_values=values,
+        )
+    return EigResult(
+        eigenvalues=values,
+        right_vectors=vectors,
+        residual_norms=residuals,
+        vector_condition=float(np.linalg.cond(vectors)) if count > 1 else 1.0,
     )
 
 
@@ -327,22 +295,17 @@ def eig_solve(
 ) -> EigResult:
     """The one spectral solve: :func:`eig_targeted`, memoized in ``cache``.
 
-    A :class:`SingularShiftError` is retried once at the suggested shift.  The
-    result is stored under ``(shift, count, tol, seed)``; ``cache`` belongs to
-    the one matrix ``a``.  A cached result is returned as is, so callers must
-    index rather than modify its arrays, and the matrix behind a cache must not
-    change once it has been solved.
+    The result is stored under ``(shift, count, tol, seed)``; ``cache``
+    belongs to the one matrix ``a``.  A failed solve raises and stores
+    nothing.  A cached result is returned as is, so callers must index rather
+    than modify its arrays, and the matrix behind a cache must not change once
+    it has been solved.
     """
     key = (shift, count, tol, seed)
     if cache is not None and key in cache:
         log.debug("eig_solve: reusing the solve for shift=%s count=%d", shift, count)
         return cache[key]
-    try:
-        result = eig_targeted(a, shift, count, tol=tol, seed=seed)
-    except SingularShiftError as exc:
-        log.debug("eig_solve: singular factorization at shift %s; retrying at %s",
-                  shift, exc.suggested_shift)
-        result = eig_targeted(a, exc.suggested_shift, count, tol=tol, seed=seed)
+    result = eig_targeted(a, shift, count, tol=tol, seed=seed)
     if cache is not None:
         cache[key] = result
     return result

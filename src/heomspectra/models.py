@@ -136,7 +136,9 @@ def lmg(N: int, V: float, gamma: float, kappa: float, omega: float) -> ModelInst
     ``H = (V / 2N) (Sp^2 + Sm^2)`` with jump operator ``Sm`` and a single
     exponential bath term of amplitude ``gamma * kappa / (2N)``.  The control
     parameter is ``g = V / gamma``; in the memoryless limit the reference
-    critical point is ``g = 1/2``.
+    critical point is ``g = 1/2``.  Carries the Z2 charge assignment (system
+    parity along ``Sz`` plus mode parity), which ``Sp^2``, ``Sm^2`` and ``Sm``
+    respect.
     """
     _check_rates(gamma=gamma, kappa=kappa)
     ops = spin_operators(SpinSpace(N))
@@ -149,6 +151,7 @@ def lmg(N: int, V: float, gamma: float, kappa: float, omega: float) -> ModelInst
         size=N,
         params={"V": V, "gamma": gamma, "kappa": kappa, "omega": omega,
                 "g": V / gamma},
+        symmetry=SymmetrySpec(tuple(range(N + 1)), (1,), group_order=2),
         reference_criticals={"g_c_markovian": 0.5},
     )
 

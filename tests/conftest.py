@@ -67,3 +67,19 @@ def eig_calls(monkeypatch):
 
     monkeypatch.setattr(linalg, "eig_targeted", spy)
     return calls
+
+
+@pytest.fixture
+def refined_calls(monkeypatch):
+    """Record the shift of every ``linalg._refined_inverse`` factorization."""
+    from heomspectra import linalg
+
+    sigmas = []
+    original = linalg._refined_inverse
+
+    def spy(a, sigma):
+        sigmas.append(sigma)
+        return original(a, sigma)
+
+    monkeypatch.setattr(linalg, "_refined_inverse", spy)
+    return sigmas

@@ -355,6 +355,16 @@ class TestCheckpoints:
         assert names == ["point_0000.json", "point_0001.json"]
 
 
+def run_cli(tmp_path, config_path):
+    """Run the CLI as a subprocess on ``config_path``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run(
+        [sys.executable, "-m", "heomspectra.cli", "--config", str(config_path)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+
+
 @pytest.mark.parametrize("overrides", [
     {"epsilon": "abc"},
     {"params": {"gamma": -1.0, "kappa": 1.0, "omega": 1.0}},
@@ -363,13 +373,34 @@ class TestCheckpoints:
     {"solver": {"tol": None}},
 ])
 def test_bad_values_exit_2_without_traceback(tmp_path, overrides):
-    config_path = write_config(tmp_path, **overrides)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.run(
-        [sys.executable, "-m", "heomspectra.cli", "--config", str(config_path)],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
-    )
+    proc = run_cli(tmp_path, write_config(tmp_path, **overrides))
     assert proc.returncode == 2
     assert "config error" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("overrides", [
+    {"k_max": "auto"},
+    {"analyses": ["steady_state", "converge"]},
+    {"analyses": ["steady_state", "compare_markovian"]},
+])
+def test_empty_observables_for_a_scan_exit_2(tmp_path, overrides):
+    proc = run_cli(tmp_path, write_config(tmp_path, observables=[], **overrides))
+    assert proc.returncode == 2
+    assert "config error: observables" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_empty_observables_allowed_without_a_scan(tmp_path):
+    config = parse_config(write_config(tmp_path, observables=[], analyses=["gap"]))
+    assert config.observables == []
+    assert run(config) == 0
+
+
+def test_lmg_point_decomposes_by_parity(tmp_path):
+    config_path = write_config(tmp_path, N=[2], k_max=2, sweep={"parameter": "g", "grid": [0.3]},
+                               analyses=["decompose", "sectors"])
+    proc = run_cli(tmp_path, config_path)
+    assert proc.returncode == 0, proc.stderr
+    rows = read_rows(tmp_path / "out")
+    assert {r["analysis"] for r in rows} == {"decompose", "sectors"}

@@ -1,5 +1,3 @@
-import logging
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -136,18 +134,19 @@ class TestEigTargeted:
         res = eig_targeted(a, 0.0, 1)
         assert abs(res.eigenvalues[0]) <= 1e-12
 
-    def test_agreement_with_dense(self, rng):
-        n = 200
+    def test_agreement_with_dense(self, refined_calls):
+        n = linalg.TARGETED_DENSE_FALLBACK + 100
         a = sp.random(n, n, density=0.05, random_state=np.random.RandomState(3),
                       dtype=float).tocsr()
         a = (a + 1j * sp.random(n, n, density=0.05,
                                 random_state=np.random.RandomState(4))).tocsr()
         dense_vals = np.linalg.eigvals(a.toarray())
         shift = 0.1 + 0.05j
-        res = eig_targeted(a, shift, 6, dense_fallback=10)
+        res = eig_targeted(a, shift, 6)
         nearest = dense_vals[np.argsort(np.abs(dense_vals - shift))[:6]]
         assert multiset_distance(res.eigenvalues, nearest) <= 1e-8
         assert res.residual_norms.max() <= 1e-10
+        assert len(refined_calls) == 1
 
     def test_count_validation(self):
         with pytest.raises(MatrixValidationError):
@@ -155,20 +154,21 @@ class TestEigTargeted:
         with pytest.raises(MatrixValidationError):
             eig_targeted(sp.eye(4, format="csr"), 0.0, 1, tol=-1.0)
 
-    def test_singular_shift_error_carries_suggestion(self):
-        # Exactly singular at the shift and kept singular under the internal
-        # displaced retries by making the whole matrix a multiple of identity.
-        a = sp.identity(2000, dtype=complex, format="csr") * 0.0
-        with pytest.raises((SingularShiftError, EigenConvergenceError)):
-            eig_targeted(a, 0.0, 2, dense_fallback=10)
-
-
-def _pivoting_retries(caplog):
-    return [r for r in caplog.records if "partial pivoting" in r.getMessage()]
+    def test_singular_shift_error_carries_suggestion(self, refined_calls):
+        # Explicit zeros above the dense fallback: the scale is 0, so the
+        # displaced shift is the requested one and the first pivot is zero.
+        a = sp.identity(linalg.TARGETED_DENSE_FALLBACK + 100, dtype=complex,
+                        format="csr") * 0.0
+        cache = {}
+        with pytest.raises(SingularShiftError) as info:
+            eig_solve(a, 0.0, 2, cache=cache)
+        assert info.value.shift == 0.0 and info.value.suggested_shift != 0.0
+        assert refined_calls == [0.0]
+        assert cache == {}
 
 
 class TestShiftInvert:
-    """The refined minimum-degree LU and its partial-pivoting retry."""
+    """One refined minimum-degree LU per solve; a miss raises at once."""
 
     N = 800  # above the dense fallback
 
@@ -180,46 +180,28 @@ class TestShiftInvert:
              - sp.diags(state.uniform(1.0, 3.0, self.N)))
         return a.tocsr()
 
-    def _assert_nearest(self, a, res, shift, count):
-        dense_vals = np.linalg.eigvals(a.toarray())
-        nearest = dense_vals[np.argsort(np.abs(dense_vals - shift))[:count]]
-        assert multiset_distance(res.eigenvalues, nearest) <= 1e-8
-        assert res.residual_norms.max() <= 1e-10
-
-    def test_sparse_solve_matches_dense(self, matrix, caplog):
-        caplog.set_level(logging.DEBUG, logger="heomspectra")
+    def test_sparse_solve_matches_dense(self, matrix, refined_calls):
         shift = -1.0 + 0.1j
         res = eig_targeted(matrix, shift, 6)
-        self._assert_nearest(matrix, res, shift, 6)
-        assert not _pivoting_retries(caplog)
+        dense_vals = np.linalg.eigvals(matrix.toarray())
+        nearest = dense_vals[np.argsort(np.abs(dense_vals - shift))[:6]]
+        assert multiset_distance(res.eigenvalues, nearest) <= 1e-8
+        assert res.residual_norms.max() <= 1e-10
+        assert len(refined_calls) == 1
 
-    def test_inaccurate_factorization_retries_with_pivoting(self, matrix, monkeypatch,
-                                                             caplog):
-        # The first factorization is of a matrix 1e-6 away, so its Ritz pairs
-        # miss tol on the real one and only the pivoted retry can succeed.
+    def test_inaccurate_factorization_raises_convergence_error(self, matrix, monkeypatch,
+                                                               refined_calls):
+        # The factorization is of a matrix 1e-6 away, so its Ritz pairs miss
+        # tol on the real one, and nothing is refactorized.
         original = linalg._refined_inverse
         noise = 1e-6 * sp.random(self.N, self.N, density=0.01,
                                  random_state=np.random.RandomState(12)).tocsc()
         monkeypatch.setattr(linalg, "_refined_inverse",
                             lambda a, sigma: original(a + noise, sigma))
-        caplog.set_level(logging.DEBUG, logger="heomspectra")
-        shift = -1.0 + 0.1j
-        res = eig_targeted(matrix, shift, 6)
-        self._assert_nearest(matrix, res, shift, 6)
-        retries = _pivoting_retries(caplog)
-        assert len(retries) == 1 and retries[0].levelno == logging.DEBUG
-        assert not [r for r in caplog.records if "shift attempt failed" in r.getMessage()]
-
-    def test_singular_shift_is_retried_by_eig_solve(self, caplog):
-        # Explicit zeros: every displaced attempt collapses onto the shift, so
-        # both factorizations are singular at all three attempts.
-        a = sp.identity(700, dtype=complex, format="csr") * 0.0
-        with pytest.raises(SingularShiftError):
-            eig_targeted(a, 0.0, 2)
-        caplog.set_level(logging.DEBUG, logger="heomspectra")
-        res = eig_solve(a, 0.0, 2)
-        assert np.abs(res.eigenvalues).max() <= 1e-10
-        assert any("retrying at" in r.getMessage() for r in caplog.records)
+        with pytest.raises(EigenConvergenceError) as info:
+            eig_targeted(matrix, -1.0 + 0.1j, 6)
+        assert info.value.ritz_values is not None and len(info.value.ritz_values) == 6
+        assert len(refined_calls) == 1
 
 
 class TestHermSqrt:

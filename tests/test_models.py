@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from heomspectra.builder import assemble
 from heomspectra.errors import MatrixValidationError
 from heomspectra.models import (
     BathSpec,
@@ -15,6 +16,7 @@ from heomspectra.models import (
     z2_lmg,
 )
 from heomspectra.operators import qubit_operators
+from heomspectra.symmetry import SymmetrySpec, decompose
 
 from conftest import make_qubit_decay
 
@@ -93,6 +95,13 @@ class TestPresets:
         model = z2_lmg(4, 1.0, 0.5, 1.0, 1.0, 0.5)
         assert model.symmetry is not None
         assert model.symmetry.group_order == 2
+
+    def test_lmg_carries_parity(self):
+        model = lmg(4, 0.3, 1.0, 1.0, 1.0)
+        assert model.symmetry == SymmetrySpec((0, 1, 2, 3, 4), (1,), group_order=2)
+        # decompose verifies that the generator is block diagonal in it
+        decomp = decompose(assemble(model, 3))
+        assert sorted(decomp.charges_present()) == [0, 1]
 
     def test_dicke_critical_coupling(self):
         assert dicke_critical_coupling(1.0, 5.0, 5.0) == pytest.approx(math.sqrt(5.0))

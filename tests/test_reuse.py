@@ -7,12 +7,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from heomspectra import linalg
 from heomspectra.builder import HeomLiouvillian, assemble
 from heomspectra.dpt import ssb_pair
 from heomspectra.embedding import EmbeddingSpec, steady_state_lm
-from heomspectra.errors import EigenConvergenceError, SingularShiftError
-from heomspectra.linalg import EigResult, eig_solve, eig_targeted
+from heomspectra.linalg import eig_targeted
 from heomspectra.models import lmg, z2_lmg
 from heomspectra.spectra import distinct_from_leading, gap, spectrum, steady_state
 from heomspectra.symmetry import SectorDecomposition, SymmetrySpec, decompose, sector_leading_eigs
@@ -141,31 +139,3 @@ class TestSolverLogging:
         caplog.set_level(logging.DEBUG, logger="heomspectra")
         eig_targeted(sp.diags([0.0, -1.0, -2.0]).tocsr(), 0.0, 1)
         assert any("dense solve" in r.getMessage() for r in caplog.records)
-
-    def test_failed_shift_attempts_are_logged(self, caplog):
-        caplog.set_level(logging.DEBUG, logger="heomspectra")
-        a = sp.identity(50, dtype=complex, format="csr") * 0.0
-        with pytest.raises((SingularShiftError, EigenConvergenceError)):
-            eig_targeted(a, 0.0, 2, dense_fallback=10)
-        failed = [r for r in caplog.records if "shift attempt failed" in r.getMessage()]
-        assert len(failed) == 3
-        assert all("singular" in r.getMessage() for r in failed)
-
-    def test_singular_shift_retry_is_logged(self, monkeypatch, caplog):
-        shifts = []
-
-        def fake(a, shift, count, tol=1e-10, seed=0):
-            shifts.append(shift)
-            if len(shifts) == 1:
-                raise SingularShiftError(shift, shift + 1e-9)
-            values = np.zeros(count, dtype=complex)
-            return EigResult(values, np.eye(a.shape[0], count, dtype=complex), values.real)
-
-        monkeypatch.setattr(linalg, "eig_targeted", fake)
-        caplog.set_level(logging.DEBUG, logger="heomspectra")
-        cache = {}
-        eig_solve(sp.identity(4, format="csr"), 0.0, 2, cache=cache)
-        assert shifts == [0.0, 1e-9]
-        assert any("retrying" in r.getMessage() for r in caplog.records)
-        # the retried result is stored under the requested shift
-        assert (0.0, 2, 1e-10, 0) in cache
