@@ -203,6 +203,21 @@ class TestShiftInvert:
         assert info.value.ritz_values is not None and len(info.value.ritz_values) == 6
         assert len(refined_calls) == 1
 
+    def test_eig_solve_raises_singular_shift_without_retry(self, refined_calls):
+        # Explicit zeros: the requested shift is an exact zero pivot.  eig_solve
+        # makes one factorization and raises; the caller's remedy is a new
+        # request at the suggested shift, which then succeeds.
+        a = sp.identity(700, dtype=complex, format="csr") * 0.0
+        cache = {}
+        with pytest.raises(SingularShiftError) as info:
+            eig_solve(a, 0.0, 2, cache=cache)
+        assert refined_calls == [0.0] and cache == {}
+        suggested = info.value.suggested_shift
+        res = eig_solve(a, suggested, 2, cache=cache)
+        assert np.abs(res.eigenvalues).max() <= 1e-10
+        assert refined_calls == [0.0, suggested]
+        assert list(cache) == [(suggested, 2, 1e-10, 0)]
+
 
 class TestHermSqrt:
     def test_identity(self):

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 from heomspectra.builder import HeomLiouvillian, assemble
 from heomspectra.dpt import ssb_pair
 from heomspectra.embedding import EmbeddingSpec, steady_state_lm
+from heomspectra.errors import SingularShiftError
 from heomspectra.linalg import eig_targeted
 from heomspectra.models import lmg, z2_lmg
 from heomspectra.spectra import distinct_from_leading, gap, spectrum, steady_state
@@ -139,3 +140,11 @@ class TestSolverLogging:
         caplog.set_level(logging.DEBUG, logger="heomspectra")
         eig_targeted(sp.diags([0.0, -1.0, -2.0]).tocsr(), 0.0, 1)
         assert any("dense solve" in r.getMessage() for r in caplog.records)
+
+    def test_singular_shift_is_not_retried(self, caplog, refined_calls):
+        caplog.set_level(logging.DEBUG, logger="heomspectra")
+        a = sp.identity(700, dtype=complex, format="csr") * 0.0
+        with pytest.raises(SingularShiftError, match="singular"):
+            eig_targeted(a, 0.0, 2)
+        assert refined_calls == [0.0]
+        assert not [r for r in caplog.records if r.name.startswith("heomspectra")]
