@@ -390,7 +390,10 @@ def _resolve_k_max(point: _Point) -> int:
 
 
 def _rows_steady(point: _Point):
-    state, _ = steady_state(point.liouv, **point.solver())
+    # A symmetric model's steady state is solved in charge 0; passing the
+    # point's decomposition builds it once per point.
+    target = point.decomp if point.model.symmetry is not None else point.liouv
+    state, _ = steady_state(target, **point.solver())
     rows = []
     for name, matrix in point.observables:
         value = complex(np.trace(matrix @ state.matrix))

@@ -11,6 +11,7 @@ dynamics, steady states, correlation identities and dimension comparisons.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -23,6 +24,7 @@ from .errors import EmbeddingUnsupportedError, MatrixValidationError, SizeBudget
 from .hierarchy import count as hierarchy_count
 from .linalg import clean_sparse, devectorize, eig_solve, kron, vectorize
 from .models import ModelInstance
+from .symmetry import _sector_charges
 
 #: Largest superoperator dimension the embedding will build by default.
 DEFAULT_EMBEDDING_BUDGET = 1_500_000
@@ -174,6 +176,20 @@ def reduced_system_state(spec: EmbeddingSpec, rho_tot_vec: np.ndarray) -> np.nda
     return np.einsum("ikjk->ij", rho.reshape(d_s, d_m, d_s, d_m))
 
 
+def _charge0_members(spec: EmbeddingSpec, lm: sp.csr_matrix) -> np.ndarray:
+    """Basis ranks of charge 0 under the model's symmetry, checked on ``lm``."""
+    occupations = np.array(list(itertools.product(*map(range, spec.mode_dims))),
+                           dtype=np.int64)
+    system = np.arange(spec.model.dim)
+    # Basis order: ket (system, modes), then bra (system, modes).
+    charges, _ = _sector_charges(
+        lm, spec.model.symmetry, spec.model,
+        ket=(system[:, None, None, None], occupations[None, :, None, None]),
+        bra=(system[None, None, :, None], occupations[None, None, None, :]),
+    )
+    return np.flatnonzero(charges == 0)
+
+
 def steady_state_lm(
     spec: EmbeddingSpec,
     count: int = 6,
@@ -181,10 +197,22 @@ def steady_state_lm(
     seed: int = 0,
     matrix: Optional[sp.csr_matrix] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Stationary state of the embedding: (full matrix, reduced system matrix)."""
+    """Stationary state of the embedding: (full matrix, reduced system matrix).
+
+    When the model declares a symmetry only the charge-0 block of the
+    generator is solved: it holds the trace, and so the steady state.  A
+    declared symmetry that does not block-diagonalize the generator raises
+    :class:`SymmetryViolationError`.
+    """
     lm = build_lm(spec) if matrix is None else matrix
-    res = eig_solve(lm, 0.0, min(count, lm.shape[0]), tol=tol, seed=seed)
-    rho = devectorize(res.right_vectors[:, 0], spec.hilbert_dim)
+    members = None if spec.model.symmetry is None else _charge0_members(spec, lm)
+    block = lm if members is None else lm[members, :][:, members]
+    res = eig_solve(block, 0.0, min(count, block.shape[0]), tol=tol, seed=seed)
+    vector = res.right_vectors[:, 0]
+    if members is not None:
+        vector = np.zeros(lm.shape[0], dtype=complex)
+        vector[members] = res.right_vectors[:, 0]
+    rho = devectorize(vector, spec.hilbert_dim)
     rho = rho / np.trace(rho)
     rho = (rho + rho.conj().T) / 2
     rho = rho / np.trace(rho).real

@@ -32,8 +32,11 @@ MatrixLike = Union[np.ndarray, sp.spmatrix]
 
 #: Largest dimension accepted by the full dense eigensolver.
 DENSE_EIG_LIMIT = 6000
-#: Below this dimension targeted solves fall back to the dense solver.
-TARGETED_DENSE_FALLBACK = 600
+#: Up to this dimension targeted solves use the dense solver.  The crossover
+#: measured on lmg generators and their parity sectors (count 6, 2 cores):
+#: dense 2.0 vs sparse 4.5 ms at n=37, 7.1 vs 5.5 ms at n=44, 300 vs 38 ms
+#: at n=363.
+TARGETED_DENSE_FALLBACK = 40
 #: Explicit zeros below this magnitude are purged from sparse matrices.
 SPARSE_PRUNE_TOL = 1e-15
 #: Condition computation for eigenvector matrices is skipped above this size.
@@ -161,7 +164,7 @@ def _nearest_order(values: np.ndarray, shift: complex) -> np.ndarray:
                        np.round(np.abs(values - shift), 10)))
 
 
-def _refined_inverse(a: sp.csc_matrix, sigma: complex) -> spla.LinearOperator:
+def _refined_inverse(a: sp.spmatrix, sigma: complex) -> spla.LinearOperator:
     """The operator ``(a - sigma I)^-1`` from one minimum-degree sparse LU.
 
     The ordering is minimum degree on ``A^T + A`` with diagonal pivots
@@ -171,7 +174,7 @@ def _refined_inverse(a: sp.csc_matrix, sigma: complex) -> spla.LinearOperator:
     takes one step of iterative refinement against the shifted matrix.  A
     zero pivot raises :class:`RuntimeError`.
     """
-    shifted = (a - sigma * sp.identity(a.shape[0], dtype=complex, format="csc")).tocsc()
+    shifted = (a - sigma * sp.identity(a.shape[0], dtype=complex, format="csr")).tocsc()
     lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
 
@@ -236,7 +239,6 @@ def eig_targeted(
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     ask = min(count + 4, n - 2)
     ncv = min(n, max(2 * ask + 12, 36))
-    csc = m.tocsc()
     scale = float(np.abs(m.data).max()) if m.nnz else 1.0
 
     # A shift sitting exactly on an eigenvalue (the usual case when targeting
@@ -246,12 +248,12 @@ def eig_targeted(
     # larger Ritz set, so the displacement does not change the result.
     sigma = shift - 1e-3 * scale
     try:
-        opinv = _refined_inverse(csc, sigma)
+        opinv = _refined_inverse(m, sigma)
     except RuntimeError as exc:  # a zero pivot
         raise SingularShiftError(shift, shift + max(1e-12, 1e-9 * scale)) from exc
     try:
         values, vectors = spla.eigs(
-            csc,
+            m,
             k=ask,
             sigma=sigma,
             OPinv=opinv,

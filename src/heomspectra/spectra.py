@@ -21,7 +21,7 @@ from .errors import (
     SizeBudgetError,
 )
 from .linalg import DENSE_EIG_LIMIT, as_dense, eig_dense, eig_solve
-from .symmetry import SectorDecomposition, leading_order
+from .symmetry import SectorDecomposition, decompose, leading_order
 
 #: An eigenvalue is considered degenerate with the steady state below this.
 ZERO_MULTIPLICITY_TOL = 1e-9
@@ -159,10 +159,17 @@ def steady_state(
 ) -> Tuple[PhysicalState, HeomState]:
     """Extract the stationary state from the null vector of the generator.
 
-    Requires the zero eigenvalue to be simple within
-    :data:`ZERO_MULTIPLICITY_TOL`; a degenerate null space raises
+    A generator whose model declares a symmetry is solved in charge 0 of its
+    decomposition (:func:`decompose`, whose sector solves the generator
+    keeps), which holds the trace covector and so the steady state; the
+    state is embedded back into full-space coordinates.  A near-zero eigenvalue in another sector belongs
+    to a traceless persistent mode, not to a second steady state, and is not
+    looked for.  The zero eigenvalue of the solved matrix must be simple
+    within :data:`ZERO_MULTIPLICITY_TOL`; a degenerate null space raises
     :class:`DegenerateSteadyStateError` listing the near-zero eigenvalues.
     """
+    if isinstance(target, HeomLiouvillian) and target.model.symmetry is not None:
+        target, charge = decompose(target), 0
     matrix, _, liouv, _ = _resolve(target, charge)
     n = matrix.shape[0]
     result = spectrum(target, charge=charge, count=min(max(count, 2), n), tol=tol,

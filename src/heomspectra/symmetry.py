@@ -9,9 +9,11 @@ element ``|i><j|`` inside hierarchy index ``(n, m)`` carries the charge
 
     q[i] - q[j] + sum_p  c[bath(p)] * (n[p] - m[p]),
 
-reduced modulo ``group_order`` for finite groups.  The sign convention for the
-bath charges is fixed by requiring block-diagonality of the assembled
-generator; :func:`decompose` raises if the declared charges are wrong.
+reduced modulo ``group_order`` for finite groups.  The same rule holds in the
+enlarged Markovian picture, with the Fock occupations of ``|i,n><j,m|`` in
+place of the hierarchy index.  The sign convention for the bath charges is
+fixed by requiring block-diagonality of the generator; both pictures raise
+if the declared charges are wrong.
 """
 
 from __future__ import annotations
@@ -62,8 +64,9 @@ class SectorDecomposition:
     ``sectors`` maps each charge to the sorted global basis ranks it owns and
     ``matrices`` holds the corresponding submatrices.  The sector of charge 0
     contains the physical trace covector and hence the steady state.  Targeted
-    solves of the sectors are cached on the instance, so the matrices must not
-    change after analysis.
+    solves of the sectors are cached on the instance (on the generator under
+    the model's declared spec, see :func:`decompose`), so the matrices must
+    not change after analysis.
     """
 
     liouvillian: "HeomLiouvillian"
@@ -93,56 +96,77 @@ class SectorDecomposition:
         return full
 
 
+def _sector_charges(matrix, spec: SymmetrySpec, model, ket, bra) -> Tuple[np.ndarray, float]:
+    """Charge of every basis element of ``matrix``, verified block-diagonal.
+
+    This is the one place that evaluates the charge rule of the module
+    docstring, for both pictures.  ``ket`` and ``bra`` are pairs ``(system
+    index, mode occupations)`` of integer arrays that broadcast to the basis
+    layout, with one occupation per slot of ``model.slots()`` along the last
+    axis of the occupations; the flattened broadcast is the basis order.  A
+    side ``(i, n)`` carries ``q[i] + c . n`` and an element ``|ket><bra|``
+    the difference of its two sides.  A spec whose charge counts do not match
+    the model raises :class:`MatrixValidationError`.  Every nonzero entry
+    must connect equal charges; the worst off-sector entry above
+    :data:`OFF_SECTOR_TOL` raises :class:`SymmetryViolationError`, which
+    signals a wrong :class:`SymmetrySpec` rather than a numerical issue.
+    Returns the charges and the largest tolerated off-sector magnitude.
+    """
+    q = np.asarray(spec.system_charges, dtype=np.int64)
+    if q.size != model.dim:
+        raise MatrixValidationError(f"{q.size} system charges for block size {model.dim}")
+    if len(spec.bath_charges) != len(model.baths):
+        raise MatrixValidationError(
+            f"{len(spec.bath_charges)} bath charges for {len(model.baths)} baths"
+        )
+    slot_c = np.asarray(spec.bath_charges, dtype=np.int64)[
+        [bath_index for bath_index, _ in model.slots()]
+    ]
+
+    def carried(system, occupations):
+        return q[system] + occupations @ slot_c
+
+    charges = spec.reduce((carried(*ket) - carried(*bra)).ravel())
+
+    coo = matrix.tocoo()
+    bad = charges[coo.row] != charges[coo.col]
+    if not bad.any():
+        return charges, 0.0
+    values = np.abs(coo.data[bad])
+    worst = int(np.argmax(values))
+    if values[worst] > OFF_SECTOR_TOL:
+        row, col = int(coo.row[bad][worst]), int(coo.col[bad][worst])
+        raise SymmetryViolationError(
+            float(values[worst]), row, col, int(charges[row]), int(charges[col])
+        )
+    return charges, float(values[worst])
+
+
 def decompose(liouvillian: "HeomLiouvillian", spec: SymmetrySpec | None = None) -> SectorDecomposition:
     """Split the generator into charge sectors, verifying block-diagonality.
 
-    This is the one place that evaluates the charge rule of the module
-    docstring; a spec whose charge counts do not match the model raises
-    :class:`MatrixValidationError`.  Every nonzero entry must connect equal
-    charges; the worst off-sector entry above :data:`OFF_SECTOR_TOL` raises
-    :class:`SymmetryViolationError`, which signals a wrong
-    :class:`SymmetrySpec` rather than a numerical issue.
+    ``spec`` defaults to the model's declared symmetry.  Every decomposition
+    under that spec keeps its sector solves on the generator, so they are
+    shared by all of them.  The generator keeps the solves rather than the
+    decomposition, which refers back to it: that cycle would keep both alive
+    until the garbage collector runs.  The charges and the
+    block-diagonality check are those of :func:`_sector_charges`, whose
+    errors propagate.
     """
+    own = liouvillian.model.symmetry
     if spec is None:
-        spec = liouvillian.model.symmetry
+        spec = own
     if spec is None:
         raise MatrixValidationError("model declares no symmetry and none was given")
     space = liouvillian.hierarchy
-    d = liouvillian.d_s
-    slot_baths = [bath_index for bath_index, _ in liouvillian.model.slots()]
-    q = np.asarray(spec.system_charges, dtype=np.int64)
-    if q.size != d:
-        raise MatrixValidationError(f"{q.size} system charges for block size {d}")
-    if len(spec.bath_charges) != len(liouvillian.model.baths):
-        raise MatrixValidationError(
-            f"{len(spec.bath_charges)} bath charges for {len(liouvillian.model.baths)} baths"
-        )
-    pair_charge = (q[:, None] - q[None, :]).ravel()
-
-    bath_c = np.asarray(spec.bath_charges, dtype=np.int64)[slot_baths]
-    idx = np.asarray(space.indices, dtype=np.int64)
-    mode_charge = (idx[:, : space.n_modes] - idx[:, space.n_modes :]) @ bath_c
-
-    charges = spec.reduce((mode_charge[:, None] + pair_charge[None, :]).ravel())
-
-    matrix = liouvillian.matrix.tocoo()
-    bad = charges[matrix.row] != charges[matrix.col]
-    if bad.any():
-        values = np.abs(matrix.data[bad])
-        worst = int(np.argmax(values))
-        if values[worst] > OFF_SECTOR_TOL:
-            rows = matrix.row[bad]
-            cols = matrix.col[bad]
-            raise SymmetryViolationError(
-                float(values[worst]),
-                int(rows[worst]),
-                int(cols[worst]),
-                int(charges[rows[worst]]),
-                int(charges[cols[worst]]),
-            )
-        off_residual = float(values[worst])
-    else:
-        off_residual = 0.0
+    idx = np.asarray(space.indices, dtype=np.int64)[:, None, None, :]
+    system = np.arange(liouvillian.d_s)
+    # Basis order: hierarchy index (n, m), then the block entry |i><j|.
+    charges, off_residual = _sector_charges(
+        liouvillian.matrix, spec, liouvillian.model,
+        ket=(system[None, :, None], idx[..., : space.n_modes]),
+        bra=(system[None, None, :], idx[..., space.n_modes :]),
+    )
 
     csr = liouvillian.matrix.tocsr()
     sectors: Dict[int, np.ndarray] = {}
@@ -160,7 +184,7 @@ def decompose(liouvillian: "HeomLiouvillian", spec: SymmetrySpec | None = None) 
     steady_residual = float(
         np.linalg.norm(matrices[0].T @ np.conj(trace_vec))
     )
-    return SectorDecomposition(
+    result = SectorDecomposition(
         liouvillian=liouvillian,
         spec=spec,
         charges=charges,
@@ -169,6 +193,9 @@ def decompose(liouvillian: "HeomLiouvillian", spec: SymmetrySpec | None = None) 
         off_sector_residual=off_residual,
         steady_sector_residual=steady_residual,
     )
+    if spec == own:
+        result._eig_cache = liouvillian._sector_eig_cache
+    return result
 
 
 def leading_order(values: np.ndarray) -> np.ndarray:

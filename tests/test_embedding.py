@@ -1,6 +1,10 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
+from heomspectra import embedding
 from heomspectra.builder import assemble, initial_state, propagate
 from heomspectra.embedding import (
     EmbeddingSpec,
@@ -15,11 +19,16 @@ from heomspectra.embedding import (
     total_hamiltonian,
     trace_covector,
 )
-from heomspectra.errors import EmbeddingUnsupportedError, MatrixValidationError
-from heomspectra.linalg import vectorize
+from heomspectra.errors import (
+    EmbeddingUnsupportedError,
+    MatrixValidationError,
+    SymmetryViolationError,
+)
+from heomspectra.linalg import devectorize, eig_dense, vectorize
 from heomspectra.models import BathSpec, BathTerm, custom, lmg, two_mode_dicke, z2_lmg
 from heomspectra.operators import SpinSpace, qubit_operators, spin_operators
 from heomspectra.spectra import steady_state
+from heomspectra.symmetry import SymmetrySpec
 
 from conftest import make_qubit_decay
 
@@ -160,6 +169,60 @@ class TestOracleEquivalence:
             ]
         )
         assert np.abs(heom_sz - lm_sz).max() <= 1e-6
+
+
+def element_charges(spec):
+    """Charge of each basis element |i,n><j,m|, written out per composite state."""
+    sym = spec.model.symmetry
+    slot_c = [sym.bath_charges[bath] for bath, _ in spec.model.slots()]
+    side = np.array([
+        sym.system_charges[i] + sum(c * n for c, n in zip(slot_c, occupations))
+        for i in range(spec.model.dim)
+        for occupations in itertools.product(*map(range, spec.mode_dims))
+    ])
+    return sym.reduce((side[:, None] - side[None, :]).ravel())
+
+
+class TestChargeZeroEmbedding:
+    @pytest.mark.parametrize(
+        "model,cutoffs,dim0",
+        [
+            (lmg(2, 0.4, 1.0, 1.0, 1.0), (2,), 41),
+            (two_mode_dicke(2, 1.2, 1.0, 5.0, 5.0), (2, 2), 141),
+        ],
+        ids=["lmg", "two_mode_dicke"],
+    )
+    def test_matches_the_full_null_vector(self, model, cutoffs, dim0, monkeypatch):
+        solved = []
+        original = embedding.eig_solve
+
+        def spy(a, *args, **kwargs):
+            solved.append(a.shape[0])
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(embedding, "eig_solve", spy)
+        spec = EmbeddingSpec(model, cutoffs)
+        rho, _ = steady_state_lm(spec)
+        charges = element_charges(spec)
+        assert solved == [dim0] == [int(np.sum(charges == 0))]
+        full = eig_dense(build_lm(spec))
+        null = devectorize(full.right_vectors[:, np.argmin(np.abs(full.eigenvalues))],
+                           spec.hilbert_dim)
+        assert np.abs(rho - null / np.trace(null)).max() <= 1e-10
+        assert np.all(vectorize(rho)[charges != 0] == 0)
+
+    @pytest.mark.parametrize(
+        "model,wrong",
+        [
+            (lmg(2, 0.4, 1.0, 1.0, 1.0), SymmetrySpec((0, 1, 2), (0,), group_order=2)),
+            (two_mode_dicke(2, 1.2, 1.0, 5.0, 5.0), SymmetrySpec((0, 1, 2), (-1, 1))),
+        ],
+        ids=["lmg", "two_mode_dicke_opposite_sign"],
+    )
+    def test_wrong_spec_raises(self, model, wrong):
+        spec = EmbeddingSpec(dataclasses.replace(model, symmetry=wrong), 2)
+        with pytest.raises(SymmetryViolationError):
+            steady_state_lm(spec)
 
 
 class TestPropagateLm:

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from heomspectra import linalg
+from heomspectra.builder import assemble
 
 from heomspectra.errors import (
     EigenConvergenceError,
@@ -23,6 +24,8 @@ from heomspectra.linalg import (
     vectorize,
     write_triplets,
 )
+
+from heomspectra.models import lmg
 
 from conftest import multiset_distance, random_hermitian
 
@@ -146,6 +149,19 @@ class TestEigTargeted:
         nearest = dense_vals[np.argsort(np.abs(dense_vals - shift))[:6]]
         assert multiset_distance(res.eigenvalues, nearest) <= 1e-8
         assert res.residual_norms.max() <= 1e-10
+        assert len(refined_calls) == 1
+
+    def test_small_generator_takes_the_sparse_path(self, refined_calls):
+        # dimension 363: between the dense fallback and the former limit 600
+        a = assemble(lmg(10, 0.18, 1.0, 1.0, 1.0), 1).matrix
+        assert linalg.TARGETED_DENSE_FALLBACK < a.shape[0] < 600
+        res = eig_targeted(a, 0.0, 6)
+        dense_vals = np.linalg.eigvals(a.toarray())
+        # each value is a dense eigenvalue, and they are the 6 nearest zero
+        # (the 6th is one member of a conjugate pair, so compare moduli)
+        assert np.abs(res.eigenvalues[:, None] - dense_vals[None, :]).min(axis=1).max() <= 1e-8
+        assert np.abs(np.sort(np.abs(res.eigenvalues))
+                      - np.sort(np.abs(dense_vals))[:6]).max() <= 1e-8
         assert len(refined_calls) == 1
 
     def test_count_validation(self):

@@ -1,7 +1,9 @@
 """One solve per distinct spectrum: results cached on the solved object."""
 
 import dataclasses
+import gc
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -23,14 +25,25 @@ def liouv():
 
 
 @pytest.fixture
+def plain_liouv():
+    """The ``liouv`` generator of a model that declares no symmetry."""
+    return assemble(dataclasses.replace(lmg(6, 0.3, 1.0, 1.0, 1.0), symmetry=None), 4)
+
+
+@pytest.fixture
 def decomp(liouv):
     return decompose(liouv, SymmetrySpec(tuple(range(7)), (1,), group_order=2))
 
 
 class TestSharedSolves:
-    def test_steady_state_then_gap_solve_once(self, liouv, eig_calls):
+    def test_steady_state_then_gap_solve_once(self, plain_liouv, eig_calls):
+        steady_state(plain_liouv, count=6, tol=1e-10, seed=3)
+        gap(plain_liouv, count=6, tol=1e-10, seed=3)
+        assert len(eig_calls) == 1
+
+    def test_symmetric_steady_state_then_sector_spectrum_solve_once(self, liouv, eig_calls):
         steady_state(liouv, count=6, tol=1e-10, seed=3)
-        gap(liouv, count=6, tol=1e-10, seed=3)
+        spectrum(decompose(liouv), charge=0, count=6, tol=1e-10, seed=3)
         assert len(eig_calls) == 1
 
     def test_sector_eigs_then_sector_steady_state_solve_once(self, decomp, eig_calls):
@@ -102,9 +115,40 @@ def test_cache_field_is_private(cls):
     assert not cache.init and not cache.repr and not cache.compare
 
 
+def test_sector_cache_field_is_private():
+    (cache,) = [f for f in dataclasses.fields(HeomLiouvillian) if f.name == "_sector_eig_cache"]
+    assert not cache.init and not cache.repr and not cache.compare
+
+
+class TestSectorSolvesOnTheGenerator:
+    def test_declared_spec_shares_sector_solves(self, liouv, eig_calls):
+        sector_leading_eigs(decompose(liouv), 1, count=4)
+        sector_leading_eigs(decompose(liouv, liouv.model.symmetry), 1, count=4)
+        assert len(eig_calls) == 1
+
+    def test_other_spec_does_not_share(self, liouv, eig_calls):
+        # the same parity with shifted system charges: valid, but not the declared spec
+        shifted = SymmetrySpec(tuple(range(1, 8)), (1,), group_order=2)
+        sector_leading_eigs(decompose(liouv), 1, count=4)
+        sector_leading_eigs(decompose(liouv, shifted), 1, count=4)
+        assert len(eig_calls) == 2
+
+    def test_generator_is_freed_without_the_garbage_collector(self):
+        # no reference cycle between the generator and its decomposition
+        liouv = assemble(lmg(6, 0.3, 1.0, 1.0, 1.0), 4)
+        steady_state(liouv)
+        alive = weakref.ref(liouv)
+        gc.disable()
+        try:
+            del liouv
+            assert alive() is None
+        finally:
+            gc.enable()
+
+
 class TestShift:
-    def test_shift_reaches_the_solver(self, liouv, decomp, eig_calls):
-        steady_state(liouv, shift=0.25)
+    def test_shift_reaches_the_solver(self, plain_liouv, decomp, eig_calls):
+        steady_state(plain_liouv, shift=0.25)
         gap(decomp, charge=1, shift=0.25)
         sector_leading_eigs(decomp, 0, count=6, shift=0.25)
         assert [call[0] for call in eig_calls] == [0.25, 0.25, 0.25]
@@ -128,11 +172,19 @@ class TestDistinctFromLeading:
 
 
 class TestSolverLogging:
-    def test_cache_hit_is_logged(self, liouv, caplog):
+    def test_cache_hit_is_logged(self, plain_liouv, caplog):
+        caplog.set_level(logging.DEBUG, logger="heomspectra")
+        steady_state(plain_liouv)
+        assert not [r for r in caplog.records if "reusing" in r.getMessage()]
+        gap(plain_liouv)
+        hits = [r for r in caplog.records if "reusing" in r.getMessage()]
+        assert len(hits) == 1 and hits[0].levelno == logging.DEBUG
+
+    def test_symmetric_cache_hit_is_logged(self, liouv, caplog):
         caplog.set_level(logging.DEBUG, logger="heomspectra")
         steady_state(liouv)
         assert not [r for r in caplog.records if "reusing" in r.getMessage()]
-        gap(liouv)
+        spectrum(decompose(liouv), charge=0, count=6)
         hits = [r for r in caplog.records if "reusing" in r.getMessage()]
         assert len(hits) == 1 and hits[0].levelno == logging.DEBUG
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from heomspectra.errors import (
     ExtractionError,
     MatrixValidationError,
 )
-from heomspectra.models import BathSpec, BathTerm, custom, lmg
+from heomspectra.linalg import eig_dense
+from heomspectra.models import BathSpec, BathTerm, custom, lmg, two_mode_dicke
 from heomspectra.operators import SpinSpace, qubit_operators, spin_operators
 from heomspectra.spectra import (
     canonical_physical_state,
@@ -17,7 +20,7 @@ from heomspectra.spectra import (
     spectrum,
     steady_state,
 )
-from heomspectra.symmetry import decompose
+from heomspectra.symmetry import SymmetrySpec, decompose
 
 
 class TestSteadyState:
@@ -62,6 +65,47 @@ class TestSteadyState:
     def test_zero_trace_extraction_error(self):
         with pytest.raises(ExtractionError):
             canonical_physical_state(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestChargeZeroSteadyState:
+    @pytest.mark.parametrize("model", [
+        lmg(4, 0.3, 1.0, 1.0, 1.0),
+        two_mode_dicke(2, 1.5, 1.0, 5.0, 5.0),
+    ], ids=["lmg", "two_mode_dicke"])
+    def test_matches_the_full_null_vector(self, model):
+        liouv = assemble(model, 3)
+        _, state = steady_state(liouv)
+        full = eig_dense(liouv.matrix)
+        null = full.right_vectors[:, np.argmin(np.abs(full.eigenvalues))]
+        null = null / np.trace(null[: liouv.d_s**2].reshape(liouv.d_s, liouv.d_s))
+        assert np.abs(state.vector - null).max() <= 1e-10
+        outside = decompose(liouv).charges != 0
+        assert outside.any() and np.all(state.vector[outside] == 0)
+
+    def test_persistent_mode_outside_charge_zero_is_not_a_steady_state(self):
+        # A decaying qubit plus a bath whose mode neither decays nor couples:
+        # its auxiliary blocks carry charge +-1 and near-zero eigenvalues.
+        ops = qubit_operators()
+        decay = BathSpec(ops["sigma_minus"], (BathTerm(0.2, 0.5, 1.0),))
+        frozen = BathSpec(ops["sigma_minus"], (BathTerm(0.0, 0.0, 1e-12),))
+        model = custom(0.5 * ops["sigma_z"], [decay, frozen],
+                       symmetry=SymmetrySpec((0, 1), (1, 1)))
+        liouv = assemble(model, 1)
+        values = spectrum(liouv, count=8).eigenvalues
+        assert np.sum(np.abs(values) < 1e-9) == 5
+        state, _ = steady_state(liouv)
+        assert np.abs(state.matrix - np.diag([1.0, 0.0])).max() <= 1e-10
+        plain = assemble(dataclasses.replace(model, symmetry=None), 1)
+        with pytest.raises(DegenerateSteadyStateError):
+            steady_state(plain)
+
+    def test_degenerate_charge_zero_still_rejected(self):
+        ops = qubit_operators()
+        bath = BathSpec(ops["sigma_minus"], (BathTerm(0.0, 0.0, 1.0),))
+        model = custom(np.zeros((2, 2)), [bath], name="flat",
+                       symmetry=SymmetrySpec((0, 1), (1,)))
+        with pytest.raises(DegenerateSteadyStateError):
+            steady_state(assemble(model, 0))
 
 
 class TestGap:
