@@ -42,9 +42,8 @@ class HeomLiouvillian:
     """Sparse generator of the full hierarchy dynamics plus its metadata.
 
     ``mode_decays[p] = kappa_p + 1j * omega_p`` per damped mode, in the order
-    of ``model.slots()``.  Targeted solves of ``matrix``, and of the sectors
-    of every decomposition under the model's declared symmetry, are cached
-    on the instance, so the matrix must not change after analysis.
+    of ``model.slots()``.  Targeted solves of ``matrix`` are cached on the
+    instance, so the matrix must not change after analysis.
     """
 
     matrix: sp.csr_matrix
@@ -53,8 +52,6 @@ class HeomLiouvillian:
     model: ModelInstance
     mode_decays: np.ndarray
     _eig_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _sector_eig_cache: dict = field(default_factory=dict, init=False, repr=False,
-                                    compare=False)
 
     @property
     def dim(self) -> int:

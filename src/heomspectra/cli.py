@@ -390,8 +390,8 @@ def _resolve_k_max(point: _Point) -> int:
 
 
 def _rows_steady(point: _Point):
-    # A symmetric model's steady state is solved in charge 0; passing the
-    # point's decomposition builds it once per point.
+    # steady_state solves a symmetric model in charge 0; passing the point's
+    # decomposition shares it with the sectors analyses.
     target = point.decomp if point.model.symmetry is not None else point.liouv
     state, _ = steady_state(target, **point.solver())
     rows = []

@@ -159,13 +159,16 @@ def steady_state(
 ) -> Tuple[PhysicalState, HeomState]:
     """Extract the stationary state from the null vector of the generator.
 
-    A generator whose model declares a symmetry is solved in charge 0 of its
-    decomposition (:func:`decompose`, whose sector solves the generator
-    keeps), which holds the trace covector and so the steady state; the
-    state is embedded back into full-space coordinates.  A near-zero eigenvalue in another sector belongs
-    to a traceless persistent mode, not to a second steady state, and is not
-    looked for.  The zero eigenvalue of the solved matrix must be simple
-    within :data:`ZERO_MULTIPLICITY_TOL`; a degenerate null space raises
+    A generator whose model declares a symmetry is solved in charge 0 of a
+    new :func:`decompose` of it, which holds the trace covector and so the
+    steady state; the state is embedded back into full-space coordinates.
+    That solve is cached on the new decomposition and shared with no other
+    call, so ``gap`` on the same generator makes a second solve, of the full
+    matrix; a caller that holds a decomposition should pass it instead.  A
+    near-zero eigenvalue in another sector belongs to a traceless persistent
+    mode, not to a second steady state, and is not looked for.  The zero
+    eigenvalue of the solved matrix must be simple within
+    :data:`ZERO_MULTIPLICITY_TOL`; a degenerate null space raises
     :class:`DegenerateSteadyStateError` listing the near-zero eigenvalues.
     """
     if isinstance(target, HeomLiouvillian) and target.model.symmetry is not None:

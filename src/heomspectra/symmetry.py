@@ -64,9 +64,8 @@ class SectorDecomposition:
     ``sectors`` maps each charge to the sorted global basis ranks it owns and
     ``matrices`` holds the corresponding submatrices.  The sector of charge 0
     contains the physical trace covector and hence the steady state.  Targeted
-    solves of the sectors are cached on the instance (on the generator under
-    the model's declared spec, see :func:`decompose`), so the matrices must
-    not change after analysis.
+    solves of the sectors are cached on the instance, so the matrices must not
+    change after analysis.
     """
 
     liouvillian: "HeomLiouvillian"
@@ -145,17 +144,12 @@ def _sector_charges(matrix, spec: SymmetrySpec, model, ket, bra) -> Tuple[np.nda
 def decompose(liouvillian: "HeomLiouvillian", spec: SymmetrySpec | None = None) -> SectorDecomposition:
     """Split the generator into charge sectors, verifying block-diagonality.
 
-    ``spec`` defaults to the model's declared symmetry.  Every decomposition
-    under that spec keeps its sector solves on the generator, so they are
-    shared by all of them.  The generator keeps the solves rather than the
-    decomposition, which refers back to it: that cycle would keep both alive
-    until the garbage collector runs.  The charges and the
+    ``spec`` defaults to the model's declared symmetry.  The charges and the
     block-diagonality check are those of :func:`_sector_charges`, whose
     errors propagate.
     """
-    own = liouvillian.model.symmetry
     if spec is None:
-        spec = own
+        spec = liouvillian.model.symmetry
     if spec is None:
         raise MatrixValidationError("model declares no symmetry and none was given")
     space = liouvillian.hierarchy
@@ -184,7 +178,7 @@ def decompose(liouvillian: "HeomLiouvillian", spec: SymmetrySpec | None = None) 
     steady_residual = float(
         np.linalg.norm(matrices[0].T @ np.conj(trace_vec))
     )
-    result = SectorDecomposition(
+    return SectorDecomposition(
         liouvillian=liouvillian,
         spec=spec,
         charges=charges,
@@ -193,9 +187,6 @@ def decompose(liouvillian: "HeomLiouvillian", spec: SymmetrySpec | None = None) 
         off_sector_residual=off_residual,
         steady_sector_residual=steady_residual,
     )
-    if spec == own:
-        result._eig_cache = liouvillian._sector_eig_cache
-    return result
 
 
 def leading_order(values: np.ndarray) -> np.ndarray:

@@ -42,8 +42,9 @@ class TestSharedSolves:
         assert len(eig_calls) == 1
 
     def test_symmetric_steady_state_then_sector_spectrum_solve_once(self, liouv, eig_calls):
-        steady_state(liouv, count=6, tol=1e-10, seed=3)
-        spectrum(decompose(liouv), charge=0, count=6, tol=1e-10, seed=3)
+        own = decompose(liouv)
+        steady_state(own, count=6, tol=1e-10, seed=3)
+        spectrum(own, charge=0, count=6, tol=1e-10, seed=3)
         assert len(eig_calls) == 1
 
     def test_sector_eigs_then_sector_steady_state_solve_once(self, decomp, eig_calls):
@@ -115,40 +116,22 @@ def test_cache_field_is_private(cls):
     assert not cache.init and not cache.repr and not cache.compare
 
 
-def test_sector_cache_field_is_private():
-    (cache,) = [f for f in dataclasses.fields(HeomLiouvillian) if f.name == "_sector_eig_cache"]
-    assert not cache.init and not cache.repr and not cache.compare
-
-
-class TestSectorSolvesOnTheGenerator:
-    def test_declared_spec_shares_sector_solves(self, liouv, eig_calls):
-        sector_leading_eigs(decompose(liouv), 1, count=4)
-        sector_leading_eigs(decompose(liouv, liouv.model.symmetry), 1, count=4)
-        assert len(eig_calls) == 1
-
-    def test_other_spec_does_not_share(self, liouv, eig_calls):
-        # the same parity with shifted system charges: valid, but not the declared spec
-        shifted = SymmetrySpec(tuple(range(1, 8)), (1,), group_order=2)
-        sector_leading_eigs(decompose(liouv), 1, count=4)
-        sector_leading_eigs(decompose(liouv, shifted), 1, count=4)
-        assert len(eig_calls) == 2
-
-    def test_generator_is_freed_without_the_garbage_collector(self):
-        # no reference cycle between the generator and its decomposition
-        liouv = assemble(lmg(6, 0.3, 1.0, 1.0, 1.0), 4)
-        steady_state(liouv)
-        alive = weakref.ref(liouv)
-        gc.disable()
-        try:
-            del liouv
-            assert alive() is None
-        finally:
-            gc.enable()
+def test_generator_is_freed_without_the_garbage_collector():
+    # no reference cycle between the generator and the decomposition steady_state builds
+    liouv = assemble(lmg(6, 0.3, 1.0, 1.0, 1.0), 4)
+    steady_state(liouv)
+    alive = weakref.ref(liouv)
+    gc.disable()
+    try:
+        del liouv
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 class TestShift:
-    def test_shift_reaches_the_solver(self, plain_liouv, decomp, eig_calls):
-        steady_state(plain_liouv, shift=0.25)
+    def test_shift_reaches_the_solver(self, liouv, decomp, eig_calls):
+        steady_state(liouv, shift=0.25)
         gap(decomp, charge=1, shift=0.25)
         sector_leading_eigs(decomp, 0, count=6, shift=0.25)
         assert [call[0] for call in eig_calls] == [0.25, 0.25, 0.25]
@@ -182,9 +165,10 @@ class TestSolverLogging:
 
     def test_symmetric_cache_hit_is_logged(self, liouv, caplog):
         caplog.set_level(logging.DEBUG, logger="heomspectra")
-        steady_state(liouv)
+        own = decompose(liouv)
+        steady_state(own)
         assert not [r for r in caplog.records if "reusing" in r.getMessage()]
-        spectrum(decompose(liouv), charge=0, count=6)
+        spectrum(own, charge=0, count=6)
         hits = [r for r in caplog.records if "reusing" in r.getMessage()]
         assert len(hits) == 1 and hits[0].levelno == logging.DEBUG
 
