@@ -41,16 +41,14 @@ DEFAULT_DIMENSION_BUDGET = 2_000_000
 class HeomLiouvillian:
     """Sparse generator of the full hierarchy dynamics plus its metadata.
 
-    ``mode_decays[p] = kappa_p + 1j * omega_p`` per damped mode, in the order
-    of ``model.slots()``.  Targeted solves of ``matrix`` are cached on the
-    instance, so the matrix must not change after analysis.
+    Targeted solves of ``matrix`` are cached on the instance, so the matrix
+    must not change after analysis.
     """
 
     matrix: sp.csr_matrix
     hierarchy: HierarchySpace
     d_s: int
     model: ModelInstance
-    mode_decays: np.ndarray
     _eig_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -197,7 +195,6 @@ def assemble(
         hierarchy=space,
         d_s=d,
         model=model,
-        mode_decays=w,
     )
 
 

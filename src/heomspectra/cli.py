@@ -126,12 +126,19 @@ def _require(raw: dict, key: str, kind, path: str):
 
 
 def _number(raw: dict, key: str, default, kind, path: str):
-    """``kind(raw[key])`` (or the default), as a :class:`ConfigError` if it fails."""
+    """``kind(raw[key])`` (or the default); a boolean or a failed conversion raises."""
     value = raw.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}{key}", f"must be a number, got {value!r}") from None
+    if not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{path}{key}", f"must be a number, got {value!r}")
+
+
+def _is_int(value) -> bool:
+    """Whether a JSON value is an integer; ``true`` and ``false`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def parse_config(path) -> RunConfig:
@@ -158,7 +165,7 @@ def parse_config(path) -> RunConfig:
             raise ConfigError(f"params.{key}", "must be a number")
 
     sizes = _require(raw, "N", list, "")
-    if not sizes or not all(isinstance(n, int) and n >= 1 for n in sizes):
+    if not sizes or not all(_is_int(n) and n >= 1 for n in sizes):
         raise ConfigError("N", "must be a non-empty list of positive integers")
 
     k_raw = raw.get("k_max", "auto")
@@ -167,14 +174,14 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("epsilon", "must be > 0")
     if k_raw == "auto":
         k_max = None
-    elif isinstance(k_raw, int):
+    elif _is_int(k_raw):
         if k_raw < 0:
             raise ConfigError("k_max", "must be >= 0")
         k_max = k_raw
     else:
         raise ConfigError("k_max", "must be a non-negative integer or 'auto'")
     k_limit = raw.get("k_limit", 12)
-    if not isinstance(k_limit, int) or k_limit < 1:
+    if not _is_int(k_limit) or k_limit < 1:
         raise ConfigError("k_limit", "must be a positive integer")
 
     sweep = _require(raw, "sweep", dict, "")
@@ -218,8 +225,14 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("solver.tol", "must be > 0")
 
     workers = raw.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
+    if not _is_int(workers) or workers < 1:
         raise ConfigError("workers", "must be a positive integer")
+    seed = _number(raw, "seed", 0, int, "")
+    if seed < 0:
+        raise ConfigError("seed", "must be >= 0")
+    export_matrices = raw.get("export_matrices", False)
+    if not isinstance(export_matrices, bool):
+        raise ConfigError("export_matrices", "must be true or false")
 
     custom_spec = raw.get("custom")
     if model == "custom":
@@ -245,9 +258,9 @@ def parse_config(path) -> RunConfig:
         shift=shift,
         eig_count=eig_count,
         tol=tol,
-        seed=int(raw.get("seed", 0)),
+        seed=seed,
         workers=workers,
-        export_matrices=bool(raw.get("export_matrices", False)),
+        export_matrices=export_matrices,
         custom_spec=custom_spec,
     )
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
@@ -340,11 +353,6 @@ def resolve_observables(
     return resolved
 
 
-def _solver_opts(config: RunConfig) -> dict:
-    """The solver options every steady-state and spectral call accepts."""
-    return {"count": config.eig_count, "tol": config.tol, "seed": config.seed}
-
-
 @dataclass
 class _Point:
     """One grid point's inputs, shared by all of its analyses.
@@ -360,18 +368,17 @@ class _Point:
     liouv: HeomLiouvillian = field(init=False)
 
     def solver(self, count: Optional[int] = None) -> dict:
-        """The configured solver options and shift; ``count`` overrides the count."""
-        opts = {**_solver_opts(self.config), "shift": self.config.shift}
-        if count is not None:
-            opts["count"] = count
-        return opts
+        """The configured options of every solve; ``count`` overrides the count."""
+        config = self.config
+        return {"count": config.eig_count if count is None else count, "tol": config.tol,
+                "seed": config.seed, "shift": config.shift}
 
     @functools.cached_property
     def heom_trace(self) -> ConvergenceTrace:
         """The ``auto_truncate`` scan of the first observable."""
         config = self.config
         return auto_truncate(self.model, self.observables[0][1], epsilon=config.epsilon,
-                             k_start=1, k_limit=config.k_limit, **_solver_opts(config))
+                             k_start=1, k_limit=config.k_limit, **self.solver())
 
     @functools.cached_property
     def decomp(self) -> SectorDecomposition:
@@ -478,11 +485,10 @@ def _rows_converge(point: _Point):
 
 def _rows_compare(point: _Point):
     config, model = point.config, point.model
-    opts = _solver_opts(config)
     name, matrix = point.observables[0]
     heom_trace = point.heom_trace
     lm_trace = auto_cutoff(model, matrix, epsilon=config.epsilon,
-                           n_start=1, n_limit=max(config.k_limit, 16), **opts)
+                           n_start=1, n_limit=max(config.k_limit, 16), **point.solver())
     if heom_trace.selected is None or lm_trace.selected is None:
         raise RuntimeError("matched-tolerance truncation search was exhausted")
     k_sel, n_sel = heom_trace.selected, lm_trace.selected

@@ -22,8 +22,9 @@ import scipy.sparse as sp
 from .builder import HeomState, _integrate
 from .errors import EmbeddingUnsupportedError, MatrixValidationError, SizeBudgetError
 from .hierarchy import count as hierarchy_count
-from .linalg import clean_sparse, devectorize, eig_solve, kron, vectorize
+from .linalg import clean_sparse, devectorize, kron, vectorize
 from .models import ModelInstance
+from .spectra import _null_vector, canonical_physical_state
 from .symmetry import _sector_charges
 
 #: Largest superoperator dimension the embedding will build by default.
@@ -57,10 +58,6 @@ class EmbeddingSpec:
     @property
     def hilbert_dim(self) -> int:
         return self.model.dim * math.prod(self.mode_dims)
-
-    @property
-    def super_dim(self) -> int:
-        return self.hilbert_dim**2
 
 
 def boson_ops(n_c: int) -> Dict[str, np.ndarray]:
@@ -195,28 +192,26 @@ def steady_state_lm(
     count: int = 6,
     tol: float = 1e-10,
     seed: int = 0,
+    shift: complex = 0.0,
     matrix: Optional[sp.csr_matrix] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Stationary state of the embedding: (full matrix, reduced system matrix).
 
-    When the model declares a symmetry only the charge-0 block of the
-    generator is solved: it holds the trace, and so the steady state.  A
-    declared symmetry that does not block-diagonalize the generator raises
-    :class:`SymmetryViolationError`.
+    The null vector is found and checked as in :func:`spectra.steady_state`,
+    with the same solver options.  When the model declares a symmetry only
+    the charge-0 block of the generator is solved: it holds the trace, and
+    so the steady state.  A declared symmetry that does not block-diagonalize
+    the generator raises :class:`SymmetryViolationError`.
     """
     lm = build_lm(spec) if matrix is None else matrix
     members = None if spec.model.symmetry is None else _charge0_members(spec, lm)
     block = lm if members is None else lm[members, :][:, members]
-    res = eig_solve(block, 0.0, min(count, block.shape[0]), tol=tol, seed=seed)
-    vector = res.right_vectors[:, 0]
+    vector = null = _null_vector(block, count, tol, seed, shift)
     if members is not None:
         vector = np.zeros(lm.shape[0], dtype=complex)
-        vector[members] = res.right_vectors[:, 0]
-    rho = devectorize(vector, spec.hilbert_dim)
-    rho = rho / np.trace(rho)
-    rho = (rho + rho.conj().T) / 2
-    rho = rho / np.trace(rho).real
-    return rho, reduced_system_state(spec, vectorize(rho))
+        vector[members] = null
+    state, _ = canonical_physical_state(devectorize(vector, spec.hilbert_dim))
+    return state.matrix, reduced_system_state(spec, vectorize(state.matrix))
 
 
 def propagate_lm(

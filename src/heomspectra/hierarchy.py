@@ -67,15 +67,6 @@ class HierarchySpace:
     def unrank(self, rank: int) -> FlatIndex:
         return self.indices[rank]
 
-    def depth(self, index: FlatIndex) -> int:
-        return sum(index)
-
-    def n_part(self, index: FlatIndex) -> FlatIndex:
-        return tuple(index[: self.n_modes])
-
-    def m_part(self, index: FlatIndex) -> FlatIndex:
-        return tuple(index[self.n_modes :])
-
     def swapped(self, index: FlatIndex) -> FlatIndex:
         """The index with the ``n`` and ``m`` parts exchanged."""
         return index[self.n_modes :] + index[: self.n_modes]

@@ -149,6 +149,25 @@ def canonical_physical_state(block: np.ndarray) -> Tuple[PhysicalState, complex]
     return state, trace * correction
 
 
+def _null_vector(matrix, count: int, tol: float, seed: int, shift: complex, cache=None):
+    """The null vector of ``matrix``: the steady-state rule of both pictures.
+
+    One solve of ``min(max(count, 2), n)`` eigenpairs, cached in ``cache``.
+    No eigenvalue within :data:`ZERO_MULTIPLICITY_TOL` of zero raises
+    :class:`ExtractionError`, more than one :class:`DegenerateSteadyStateError`.
+    """
+    res = eig_solve(matrix, shift, min(max(count, 2), matrix.shape[0]), tol=tol,
+                    seed=seed, cache=cache)
+    values = res.eigenvalues
+    near_zero = np.flatnonzero(np.abs(values) < ZERO_MULTIPLICITY_TOL)
+    if near_zero.size == 0:
+        raise ExtractionError(f"no eigenvalue within {ZERO_MULTIPLICITY_TOL:.1e} of zero; "
+                              f"closest: {values[np.argmin(np.abs(values))]}")
+    if near_zero.size > 1:
+        raise DegenerateSteadyStateError(values[near_zero].tolist())
+    return res.right_vectors[:, near_zero[0]]
+
+
 def steady_state(
     target: Target,
     charge: int = 0,
@@ -173,19 +192,8 @@ def steady_state(
     """
     if isinstance(target, HeomLiouvillian) and target.model.symmetry is not None:
         target, charge = decompose(target), 0
-    matrix, _, liouv, _ = _resolve(target, charge)
-    n = matrix.shape[0]
-    result = spectrum(target, charge=charge, count=min(max(count, 2), n), tol=tol,
-                      seed=seed, shift=shift)
-    near_zero = np.flatnonzero(np.abs(result.eigenvalues) < ZERO_MULTIPLICITY_TOL)
-    if near_zero.size == 0:
-        raise ExtractionError(
-            f"no eigenvalue within {ZERO_MULTIPLICITY_TOL:.1e} of zero; "
-            f"closest: {result.eigenvalues[0]}"
-        )
-    if near_zero.size > 1:
-        raise DegenerateSteadyStateError(result.eigenvalues[near_zero].tolist())
-    vector = result.vectors[:, near_zero[0]]
+    matrix, embed, liouv, cache = _resolve(target, charge)
+    vector = embed(_null_vector(matrix, count, tol, seed, shift, cache))
     state = HeomState(vector, liouv.hierarchy, liouv.d_s)
     physical, factor = canonical_physical_state(state.physical())
     return physical, HeomState(vector / factor, liouv.hierarchy, liouv.d_s)

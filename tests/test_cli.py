@@ -229,7 +229,7 @@ SSB_POINT = dict(
     analyses=["steady_state", "gap", "decompose", "sectors", "ssb"],
     observables=["Sz", "Sx"],
 )
-SOLVER = {"count": 5, "tol": 1e-9, "seed": 7}
+SOLVER = {"count": 5, "tol": 1e-9, "seed": 7, "shift": 0.25}
 
 
 class TestSolverOptions:
@@ -249,7 +249,7 @@ class TestSolverOptions:
 
     def _config(self, tmp_path, **overrides):
         return parse_config(write_config(
-            tmp_path, solver={"count": SOLVER["count"], "tol": SOLVER["tol"]},
+            tmp_path, solver={key: SOLVER[key] for key in ("count", "tol", "shift")},
             seed=SOLVER["seed"], epsilon=1e-2, k_limit=3, **overrides,
         ))
 
@@ -286,7 +286,8 @@ class TestSolverOptions:
         point_solves = len(eig_calls)
         model = build_model(config, 4, 0.2)
         sz = resolve_observables(config, model)[0][1]
-        opts = cli._solver_opts(config)
+        opts = {"count": config.eig_count, "tol": config.tol, "seed": config.seed,
+                "shift": config.shift}
         eig_calls.clear()
         heom = convergence.auto_truncate(model, sz, epsilon=config.epsilon, k_start=1,
                                          k_limit=config.k_limit, **opts)
@@ -301,7 +302,8 @@ class TestSolverOptions:
         point_solves = len(eig_calls)
         model = build_model(config, 4, 0.2)
         sz = resolve_observables(config, model)[0][1]
-        opts = cli._solver_opts(config)
+        opts = {"count": config.eig_count, "tol": config.tol, "seed": config.seed,
+                "shift": config.shift}
         eig_calls.clear()
         heom = convergence.auto_truncate(model, sz, epsilon=config.epsilon, k_start=1,
                                          k_limit=config.k_limit, **opts)
@@ -371,6 +373,12 @@ def run_cli(tmp_path, config_path):
     {"solver": {"shift": "left"}},
     {"solver": {"count": "six"}},
     {"solver": {"tol": None}},
+    {"seed": "abc"},
+    {"seed": [1]},
+    {"seed": -1},
+    {"k_max": True},
+    {"N": [True]},
+    {"export_matrices": "false"},
 ])
 def test_bad_values_exit_2_without_traceback(tmp_path, overrides):
     proc = run_cli(tmp_path, write_config(tmp_path, **overrides))

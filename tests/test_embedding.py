@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from heomspectra import embedding
+from heomspectra import spectra
 from heomspectra.builder import assemble, initial_state, propagate
 from heomspectra.embedding import (
     EmbeddingSpec,
@@ -194,13 +194,14 @@ class TestChargeZeroEmbedding:
     )
     def test_matches_the_full_null_vector(self, model, cutoffs, dim0, monkeypatch):
         solved = []
-        original = embedding.eig_solve
+        original = spectra.eig_solve
 
         def spy(a, *args, **kwargs):
             solved.append(a.shape[0])
             return original(a, *args, **kwargs)
 
-        monkeypatch.setattr(embedding, "eig_solve", spy)
+        # the steady-state rule of both pictures solves in spectra
+        monkeypatch.setattr(spectra, "eig_solve", spy)
         spec = EmbeddingSpec(model, cutoffs)
         rho, _ = steady_state_lm(spec)
         charges = element_charges(spec)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from heomspectra.builder import assemble
+from heomspectra.embedding import EmbeddingSpec, steady_state_lm
 from heomspectra.errors import (
     DegenerateSteadyStateError,
     ExtractionError,
@@ -61,6 +62,9 @@ class TestSteadyState:
         liouv = assemble(model, 0)  # generator is exactly zero (4 null modes)
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(liouv)
+        # the embedding picture applies the same rule to its null space
+        with pytest.raises(DegenerateSteadyStateError):
+            steady_state_lm(EmbeddingSpec(model, 2))
 
     def test_zero_trace_extraction_error(self):
         with pytest.raises(ExtractionError):
