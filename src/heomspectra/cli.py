@@ -44,6 +44,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -126,19 +127,26 @@ def _require(raw: dict, key: str, kind, path: str):
 
 
 def _number(raw: dict, key: str, default, kind, path: str):
-    """``kind(raw[key])`` (or the default); a boolean or a failed conversion raises."""
+    """``kind(raw[key])`` (or the default) of a finite JSON number, integral for ``int``."""
     value = raw.get(key, default)
-    if not isinstance(value, bool):
-        try:
-            return kind(value)
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"{path}{key}", f"must be a number, got {value!r}")
+    if not _is_number(value):
+        raise ConfigError(f"{path}{key}", f"must be a finite number, got {value!r}")
+    if kind is int and not _is_int(value) and not value.is_integer():
+        raise ConfigError(f"{path}{key}", f"must be an integer, got {value!r}")
+    return kind(value)
 
 
 def _is_int(value) -> bool:
     """Whether a JSON value is an integer; ``true`` and ``false`` are not."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """Whether a JSON value is a finite number; booleans, strings, NaN and infinities are not."""
+    try:
+        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def parse_config(path) -> RunConfig:
@@ -161,8 +169,8 @@ def parse_config(path) -> RunConfig:
     if not isinstance(params, dict):
         raise ConfigError("params", "must be an object of numbers")
     for key, value in params.items():
-        if not isinstance(value, (int, float)):
-            raise ConfigError(f"params.{key}", "must be a number")
+        if not _is_number(value):
+            raise ConfigError(f"params.{key}", "must be a finite number")
 
     sizes = _require(raw, "N", list, "")
     if not sizes or not all(_is_int(n) and n >= 1 for n in sizes):
@@ -187,8 +195,8 @@ def parse_config(path) -> RunConfig:
     sweep = _require(raw, "sweep", dict, "")
     parameter = _require(sweep, "parameter", str, "sweep.")
     grid = _require(sweep, "grid", list, "sweep.")
-    if not grid or not all(isinstance(v, (int, float)) for v in grid):
-        raise ConfigError("sweep.grid", "must be a non-empty list of numbers")
+    if not grid or not all(_is_number(v) for v in grid):
+        raise ConfigError("sweep.grid", "must be a non-empty list of finite numbers")
 
     analyses = _require(raw, "analyses", list, "")
     if not analyses:
@@ -411,7 +419,15 @@ def _rows_steady(point: _Point):
 
 
 def _rows_gap(point: _Point):
-    values = spectrum(point.liouv, **point.solver()).eigenvalues
+    # A finite symmetry group has few sectors, which the steady_state, sectors
+    # and ssb analyses solve anyway, so the gap is read from their solves.  A
+    # U(1) symmetry has tens of small sectors that together solve slower than
+    # the full generator.
+    symmetry = point.model.symmetry
+    if symmetry is not None and symmetry.group_order > 0:
+        values = spectrum(point.decomp, charge=None, **point.solver()).eigenvalues
+    else:
+        values = spectrum(point.liouv, **point.solver()).eigenvalues
     rows = [("gap", "lambda_0", values[0].real, values[0].imag)]
     rest = distinct_from_leading(values)
     if rest.size:

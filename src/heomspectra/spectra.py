@@ -20,7 +20,7 @@ from .errors import (
     MatrixValidationError,
     SizeBudgetError,
 )
-from .linalg import DENSE_EIG_LIMIT, as_dense, eig_dense, eig_solve
+from .linalg import DENSE_EIG_LIMIT, _nearest_order, as_dense, eig_dense, eig_solve
 from .symmetry import SectorDecomposition, decompose, leading_order
 
 #: An eigenvalue is considered degenerate with the steady state below this.
@@ -74,7 +74,7 @@ def _resolve(target: Target, charge: int):
 
 def spectrum(
     target: Target,
-    charge: int = 0,
+    charge: Optional[int] = 0,
     count: Optional[int] = None,
     tol: float = 1e-10,
     seed: int = 0,
@@ -84,8 +84,13 @@ def spectrum(
 
     ``count=None`` computes the full dense spectrum (dimension permitting);
     otherwise the ``count`` eigenvalues nearest ``shift`` are computed with
-    the targeted solver, cached on ``target``, and ordered.
+    the targeted solver, cached on ``target``, and ordered.  ``charge=None``
+    with a decomposition and a ``count`` gives the ``count`` nearest over all
+    its sectors, read from the sector solves without a solve of the full
+    generator.
     """
+    if charge is None:
+        return _spectrum_over_sectors(target, count, tol, seed, shift)
     matrix, embed, liouv, cache = _resolve(target, charge)
     n = matrix.shape[0]
     if count is None:
@@ -105,6 +110,39 @@ def spectrum(
         vectors=full_vectors,
         liouvillian=liouv,
         residual_norms=res.residual_norms[order],
+    )
+
+
+def _spectrum_over_sectors(
+    decomp: SectorDecomposition, count: int, tol: float, seed: int, shift: complex
+) -> SpectralResult:
+    """The ``count`` eigenvalues nearest ``shift`` over all sectors of ``decomp``.
+
+    Each sector is solved on its own cache under the key of
+    ``spectrum(decomp, charge, count)``, so the solves are shared with
+    :func:`sector_leading_eigs`, :func:`steady_state` and ``ssb_pair`` on the
+    same ``decomp``.  The nearest are kept by the rule of ``eig_targeted``,
+    which in exact arithmetic is the set a solve of the full generator
+    returns; only their vectors are embedded.
+    """
+    if not isinstance(decomp, SectorDecomposition) or count is None:
+        raise MatrixValidationError("charge=None needs a SectorDecomposition and a count")
+    solves = []
+    for charge in decomp.charges_present():
+        matrix, _, _, cache = _resolve(decomp, charge)
+        res = eig_solve(matrix, shift, min(count, matrix.shape[0]), tol=tol, seed=seed,
+                        cache=cache)
+        solves += [(charge, res, i) for i in range(res.eigenvalues.size)]
+    values = np.array([res.eigenvalues[i] for _, res, i in solves])
+    keep = _nearest_order(values, shift)[:count]
+    keep = keep[leading_order(values[keep])]
+    kept = [solves[j] for j in keep]
+    return SpectralResult(
+        eigenvalues=values[keep],
+        vectors=np.column_stack([decomp.embed(charge, res.right_vectors[:, i])
+                                 for charge, res, i in kept]),
+        liouvillian=decomp.liouvillian,
+        residual_norms=np.array([res.residual_norms[i] for _, res, i in kept]),
     )
 
 
@@ -182,8 +220,8 @@ def steady_state(
     new :func:`decompose` of it, which holds the trace covector and so the
     steady state; the state is embedded back into full-space coordinates.
     That solve is cached on the new decomposition and shared with no other
-    call, so ``gap`` on the same generator makes a second solve, of the full
-    matrix; a caller that holds a decomposition should pass it instead.  A
+    call.  A caller that holds a decomposition should pass it instead: then
+    ``gap(decomp, charge=None)`` reads the gap from the same sector solves.  A
     near-zero eigenvalue in another sector belongs to a traceless persistent
     mode, not to a second steady state, and is not looked for.  The zero
     eigenvalue of the solved matrix must be simple within
@@ -201,7 +239,7 @@ def steady_state(
 
 def gap(
     target: Target,
-    charge: int = 0,
+    charge: Optional[int] = 0,
     count: int = 6,
     tol: float = 1e-10,
     seed: int = 0,
@@ -212,14 +250,14 @@ def gap(
 
     Eigenvalues degenerate with the leading one (within ``isolation_tol``)
     are skipped, so for a generator with an exactly degenerate null space the
-    gap is the first genuinely decaying eigenvalue.
+    gap is the first genuinely decaying eigenvalue.  ``charge=None`` on a
+    decomposition reads the gap over all sectors from the sector solves, as
+    :func:`spectrum` does, without a solve of the full generator.
     """
-    matrix, _, _, _ = _resolve(target, charge)
-    n = matrix.shape[0]
-    if n < 2:
-        raise MatrixValidationError("a 1-dimensional sector has no gap eigenvalue")
-    result = spectrum(target, charge=charge, count=min(max(count, 2), n), tol=tol,
-                      seed=seed, shift=shift)
+    result = spectrum(target, charge=charge, count=max(count, 2), tol=tol, seed=seed,
+                      shift=shift)
+    if result.eigenvalues.size < 2:
+        raise MatrixValidationError("a 1-dimensional generator or sector has no gap eigenvalue")
     rest = distinct_from_leading(result.eigenvalues, isolation_tol)
     if rest.size == 0:
         raise ExtractionError(

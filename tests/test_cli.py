@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from heomspectra import __version__, cli, convergence
+from heomspectra import __version__, cli, convergence, linalg
+from heomspectra.builder import assemble
 from heomspectra.cli import build_model, execute_point, main, parse_config, resolve_observables, run
 from heomspectra.errors import ConfigError
 from heomspectra.linalg import write_triplets
@@ -238,9 +239,31 @@ class TestSolverOptions:
         config = parse_config(write_config(tmp_path, **SSB_POINT))
         _, rows = execute_point(config, 0, 8, -2.9)
         assert ("ssb", "fidelity") in {(r["analysis"], r["key"]) for r in rows}
-        # the full generator, sector 0 and sector 1
-        assert len(eig_calls) == 3
+        # sector 0 and sector 1; the gap is read from both, not from the full generator
+        assert len(eig_calls) == 2
         assert len(decompositions) == 1
+
+    def test_z2_gap_is_the_broken_sector_eigenvalue(self, tmp_path):
+        config = parse_config(write_config(tmp_path, **SSB_POINT))
+        _, rows = execute_point(config, 0, 8, -2.9)
+        values = {(r["analysis"], r["key"]): complex(r["re_value"], r["im_value"]) for r in rows}
+        assert values[("gap", "lambda_1")] == values[("ssb", "lambda_0[k=1]")]
+        assert values[("gap", "lambda_0")] == values[("sectors", "lambda_0[k=0]")]
+
+    def test_u1_gap_solves_the_full_generator(self, tmp_path, monkeypatch):
+        dims = []
+        original = linalg.eig_targeted
+
+        def spy_dims(a, shift, count, **kwargs):
+            dims.append(a.shape[0])
+            return original(a, shift, count, **kwargs)
+
+        monkeypatch.setattr(linalg, "eig_targeted", spy_dims)
+        config = parse_config(write_config(
+            tmp_path, model="two_mode_dicke", params={"omega0": 1.0, "omega": 5.0, "kappa": 5.0},
+            N=[2], k_max=2, sweep={"parameter": "g", "grid": [1.0]}, analyses=["gap"]))
+        execute_point(config, 0, 2, 1.0)
+        assert dims == [assemble(build_model(config, 2, 1.0), 2).dim]
 
     def test_config_shift_reaches_the_solver(self, tmp_path, eig_calls):
         config = parse_config(write_config(tmp_path, **{**SSB_POINT, "solver": {"shift": 0.25}}))
@@ -379,6 +402,15 @@ def run_cli(tmp_path, config_path):
     {"k_max": True},
     {"N": [True]},
     {"export_matrices": "false"},
+    {"seed": 1.5},
+    {"solver": {"count": 2.9}},
+    {"seed": "7"},
+    {"solver": {"count": "3"}},
+    {"solver": {"tol": float("nan")}},
+    {"solver": {"shift": float("inf")}},
+    {"k_max": "auto", "epsilon": float("nan")},
+    {"params": {"gamma": True, "kappa": 1.0, "omega": 1.0}},
+    {"sweep": {"parameter": "g", "grid": [True]}},
 ])
 def test_bad_values_exit_2_without_traceback(tmp_path, overrides):
     proc = run_cli(tmp_path, write_config(tmp_path, **overrides))

@@ -59,6 +59,19 @@ class TestSharedSolves:
         ssb_pair(decomp, 1.0, count=6)
         assert len(eig_calls) == 1
 
+    @pytest.mark.parametrize("model, k_max", [
+        (lmg(6, 0.3, 1.0, 1.0, 1.0), 4),
+        (z2_lmg(8, -1.45, 0.5, 1.0, 1.0, 0.5), 2),
+    ], ids=["lmg", "z2_lmg"])
+    def test_spectrum_over_sectors_reuses_the_sector_solves(self, model, k_max, eig_calls):
+        decomp = decompose(assemble(model, k_max))
+        for charge in decomp.charges_present():
+            sector_leading_eigs(decomp, charge, count=6)
+        solves = len(eig_calls)
+        spectrum(decomp, charge=None, count=6)
+        gap(decomp, charge=None, count=6)
+        assert len(eig_calls) == solves
+
     @pytest.mark.parametrize("change", [
         {"count": 5}, {"tol": 1e-9}, {"seed": 1}, {"shift": 0.25}, {"charge": 1},
     ])

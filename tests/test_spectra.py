@@ -11,7 +11,7 @@ from heomspectra.errors import (
     MatrixValidationError,
 )
 from heomspectra.linalg import eig_dense
-from heomspectra.models import BathSpec, BathTerm, custom, lmg, two_mode_dicke
+from heomspectra.models import BathSpec, BathTerm, custom, lmg, two_mode_dicke, z2_lmg
 from heomspectra.operators import SpinSpace, qubit_operators, spin_operators
 from heomspectra.spectra import (
     canonical_physical_state,
@@ -138,6 +138,29 @@ class TestGap:
     def test_gap_real_part_negative(self, qubit_decay_model):
         liouv = assemble(qubit_decay_model, 5)
         assert gap(liouv).real < 0
+
+
+class TestSpectrumOverSectors:
+    @pytest.mark.parametrize("model, k_max", [
+        (lmg(6, 0.3, 1.0, 1.0, 1.0), 4),
+        (z2_lmg(8, -1.45, 0.5, 1.0, 1.0, 0.5), 2),
+    ], ids=["lmg", "z2_lmg"])
+    def test_matches_the_full_solve(self, model, k_max):
+        liouv = assemble(model, k_max)
+        sectors = spectrum(decompose(liouv), charge=None, count=6)
+        full = spectrum(liouv, count=6)
+        assert np.abs(sectors.eigenvalues - full.eigenvalues).max() <= 1e-10
+        residuals = np.linalg.norm(
+            liouv.matrix @ sectors.vectors - sectors.vectors * sectors.eigenvalues, axis=0)
+        assert residuals.max() <= 1e-10
+        assert gap(decompose(liouv), charge=None) == pytest.approx(gap(liouv), abs=1e-10)
+
+    def test_needs_a_decomposition_and_a_count(self):
+        liouv = assemble(lmg(2, 0.3, 1.0, 1.0, 1.0), 2)
+        with pytest.raises(MatrixValidationError):
+            spectrum(liouv, charge=None, count=6)
+        with pytest.raises(MatrixValidationError):
+            spectrum(decompose(liouv), charge=None)
 
 
 class TestExpectation:
