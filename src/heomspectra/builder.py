@@ -66,13 +66,6 @@ class HeomLiouvillian:
         w = self.trace_covector()
         return float(np.linalg.norm(self.matrix.T @ np.conj(w)))
 
-    def block_count(self) -> int:
-        """Number of nonzero blocks in the block-sparsity pattern."""
-        coo = self.matrix.tocoo()
-        d2 = self.d_s * self.d_s
-        pairs = set(zip((coo.row // d2).tolist(), (coo.col // d2).tolist()))
-        return len(pairs)
-
 
 class HeomState:
     """Stacked state vector with access to individual auxiliary blocks."""

@@ -6,34 +6,10 @@ analysis, key).  Grid points are independent jobs: each one is checkpointed
 to its own fragment file so long sweeps can be resumed, and a failing point
 is recorded without aborting the sweep.
 
-Config schema (JSON object)::
-
-    {
-      "model": "lmg" | "z2_lmg" | "two_mode_dicke" | "custom",
-      "params": {"gamma": 1.0, "kappa": 1.0, "omega": 1.0},
-      "N": [10, 20],
-      "k_max": 7,                       # or "auto" with "epsilon"
-      "epsilon": 1e-4,                  # used when k_max == "auto"
-      "k_limit": 12,
-      "sweep": {"parameter": "g", "grid": [0.2, 0.5, 0.8]},
-      "analyses": ["steady_state", "gap"],
-      "observables": ["Sz"],            # names or {"name": ..., "file": ...}
-      "output_dir": "out",
-      "solver": {"shift": 0.0, "count": 6, "tol": 1e-10},
-      "seed": 0,
-      "workers": 1,
-      "export_matrices": false,
-      "custom": {                       # only for model == "custom"
-        "hamiltonian_file": "h.txt",
-        "baths": [{"coupling_file": "l.txt",
-                   "terms": [{"amplitude": [0.1, 0.0],
-                              "frequency": 0.5, "kappa": 1.0}]}]
-      }
-    }
-
-For ``lmg`` and ``z2_lmg`` the parameter ``g`` is translated to ``V = g *
-gamma``.  Matrix files use the triplet text format (``rows cols nnz`` header,
-then ``row col re im`` per line, zero-based).
+The config schema is :data:`CONFIG_FIELDS` and the tables it nests; the CLI
+section of the README documents each field and gives an example.  Matrix
+files use the triplet text format (``rows cols nnz`` header, then ``row col
+re im`` per line, zero-based).
 """
 
 from __future__ import annotations
@@ -68,28 +44,19 @@ from .dpt import REALNESS_GATE, fidelity, reconstruct_mixture, ssb_pair
 
 log = logging.getLogger("heomspectra")
 
-VALID_ANALYSES = (
-    "steady_state",
-    "gap",
-    "sectors",
-    "decompose",
-    "ssb",
-    "converge",
-    "compare_markovian",
-    "properties",
-)
-VALID_MODELS = ("lmg", "z2_lmg", "two_mode_dicke", "custom")
+#: The parameters each named model reads, in the order its constructor takes
+#: them after ``N``.  For lmg and z2_lmg, ``g`` may stand for ``V = g * gamma``.
+MODEL_PARAMS = {
+    "lmg": ("V", "gamma", "kappa", "omega"),
+    "z2_lmg": ("V", "gamma", "kappa", "omega", "h"),
+    "two_mode_dicke": ("g", "omega0", "omega", "kappa"),
+}
+VALID_MODELS = (*MODEL_PARAMS, "custom")
 SPIN_OBSERVABLES = ("Sz", "Sx", "Sy", "Sp", "Sm")
 
 CSV_COLUMNS = (
     "run_id,model,N,k_max,sweep_param,sweep_value,analysis,key,re_value,im_value"
 )
-
-
-@dataclass
-class ObservableSpec:
-    name: str
-    file: Optional[str] = None
 
 
 @dataclass
@@ -103,7 +70,7 @@ class RunConfig:
     sweep_parameter: str
     sweep_grid: List[float]
     analyses: List[str]
-    observables: List[ObservableSpec]
+    observables: List[Tuple[str, Optional[str]]]  # (name, matrix file or None)
     output_dir: str
     shift: float
     eig_count: int
@@ -111,46 +78,167 @@ class RunConfig:
     seed: int
     workers: int
     export_matrices: bool
-    custom_spec: Optional[dict] = None
+    custom_spec: Optional[dict] = None  # checked against CUSTOM_FIELDS
     config_hash: str = field(default="")
-
-
-def _require(raw: dict, key: str, kind, path: str):
-    if key not in raw:
-        raise ConfigError(f"{path}{key}", "missing required field")
-    value = raw[key]
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind):
-        raise ConfigError(f"{path}{key}", f"expected {kind.__name__}, got {type(value).__name__}")
-    return value
-
-
-def _number(raw: dict, key: str, default, kind, path: str):
-    """``kind(raw[key])`` (or the default) of a finite JSON number, integral for ``int``."""
-    value = raw.get(key, default)
-    if not _is_number(value):
-        raise ConfigError(f"{path}{key}", f"must be a finite number, got {value!r}")
-    if kind is int and not _is_int(value) and not value.is_integer():
-        raise ConfigError(f"{path}{key}", f"must be an integer, got {value!r}")
-    return kind(value)
-
-
-def _is_int(value) -> bool:
-    """Whether a JSON value is an integer; ``true`` and ``false`` are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:
     """Whether a JSON value is a finite number; booleans, strings, NaN and infinities are not."""
     try:
-        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
         return False
 
 
+def _is_int(value) -> bool:
+    """Whether a JSON value is an integral finite number: ``2.0`` is, ``true`` and ``1.5`` are not."""
+    return _is_number(value) and float(value).is_integer()
+
+
+def _items(rule, non_empty: bool = True):
+    """The rule of a JSON list whose items each follow ``rule``."""
+
+    def check(value, path: str):
+        if not isinstance(value, list) or (non_empty and not value):
+            raise ConfigError(path, "must be a non-empty list" if non_empty else "must be a list")
+        return [_check(item, rule, f"{path}[{i}]") for i, item in enumerate(value)]
+
+    return check
+
+
+def _integer(least: int):
+    return (lambda v: _is_int(v) and v >= least, f"must be an integer >= {least}", int)
+
+
+def _analysis(value, path: str) -> str:
+    """An analysis token: a key of :data:`HANDLERS`."""
+    if not isinstance(value, str) or value not in HANDLERS:
+        raise ConfigError(path, f"must be one of {', '.join(HANDLERS)}, got {value!r}")
+    return value
+
+
+def _params(value, path: str) -> Dict[str, float]:
+    """An object of finite numbers; which names a model reads is checked after the tables."""
+    if not isinstance(value, dict):
+        raise ConfigError(path, "must be an object of numbers")
+    return {key: _check(number, NUMBER, f"{path}.{key}") for key, number in value.items()}
+
+
+def _observable(value, path: str) -> Tuple[str, Optional[str]]:
+    """A spin observable's name, or a ``{name, file}`` object naming a matrix file."""
+    entry = _check({"name": value} if isinstance(value, str) else value, OBSERVABLE_FIELDS, path)
+    return entry["name"], entry["file"]
+
+
+NUMBER = (_is_number, "must be a finite number", float)
+POSITIVE = (lambda v: _is_number(v) and v > 0, "must be a finite number > 0", float)
+STRING = (lambda v: isinstance(v, str), "must be a string", str)
+FILE = (lambda v: isinstance(v, str) and os.path.isfile(v), "must name an existing file", str)
+REQUIRED = object()  # the default of a field that must be given
+
+# One table per JSON object of the config: each field maps to (default,
+# rule).  A default passes through the rule like a given value; a None
+# default is left as it is.
+SOLVER_FIELDS = {
+    "shift": (0.0, NUMBER),
+    "count": (6, _integer(1)),
+    "tol": (1e-10, POSITIVE),
+}
+SWEEP_FIELDS = {
+    "parameter": (REQUIRED, STRING),
+    "grid": (REQUIRED, _items(NUMBER)),
+}
+OBSERVABLE_FIELDS = {
+    "name": (REQUIRED, STRING),
+    "file": (None, FILE),
+}
+TERM_FIELDS = {
+    "amplitude": (REQUIRED, (
+        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
+        "must be [re, im], two finite numbers", lambda v: complex(*v))),
+    "frequency": (REQUIRED, NUMBER),
+    "kappa": (REQUIRED, NUMBER),
+}
+BATH_FIELDS = {
+    "coupling_file": (REQUIRED, FILE),
+    "terms": (REQUIRED, _items(TERM_FIELDS)),
+}
+CUSTOM_FIELDS = {
+    "hamiltonian_file": (REQUIRED, FILE),
+    "baths": (REQUIRED, _items(BATH_FIELDS)),
+}
+CONFIG_FIELDS = {
+    "model": (REQUIRED, (lambda v: v in VALID_MODELS,
+                         f"must be one of {', '.join(VALID_MODELS)}", str)),
+    "params": ({}, _params),
+    "N": (REQUIRED, _items(_integer(1))),
+    "k_max": ("auto", (lambda v: v == "auto" or (_is_int(v) and v >= 0),
+                       "must be an integer >= 0 or 'auto'",
+                       lambda v: None if v == "auto" else int(v))),
+    "epsilon": (1e-4, POSITIVE),
+    "k_limit": (12, _integer(1)),
+    "sweep": (REQUIRED, SWEEP_FIELDS),
+    "analyses": (REQUIRED, _items(_analysis)),
+    "observables": (["Sz"], _items(_observable, non_empty=False)),
+    "output_dir": ("out", STRING),
+    "solver": ({}, SOLVER_FIELDS),
+    "seed": (0, _integer(0)),
+    "workers": (1, _integer(1)),
+    "export_matrices": (False, (lambda v: isinstance(v, bool), "must be true or false", bool)),
+    "custom": (None, CUSTOM_FIELDS),
+}
+
+
+def _check(value, rule, path: str):
+    """``value`` checked against ``rule`` and converted, with the defaults filled in.
+
+    A rule is a table of fields, a ``(test, message, convert)`` triple for one
+    JSON value, or a function ``(value, path) -> value`` that raises
+    :class:`ConfigError`; ``path`` names the value in the messages.
+    """
+    if callable(rule):
+        return rule(value, path)
+    if isinstance(rule, tuple):
+        test, message, convert = rule
+        if not test(value):
+            raise ConfigError(path, f"{message}, got {value!r}")
+        return convert(value)
+    if not isinstance(value, dict):
+        raise ConfigError(path, "must be an object")
+    prefix = f"{path}." if path else ""
+    for key in value:
+        if key not in rule:
+            raise ConfigError(prefix + key, f"unknown field; valid: {', '.join(rule)}")
+    checked = {}
+    for key, (default, field_rule) in rule.items():
+        if key in value:
+            checked[key] = _check(value[key], field_rule, prefix + key)
+        elif default is REQUIRED:
+            raise ConfigError(prefix + key, "missing required field")
+        else:
+            checked[key] = None if default is None else _check(default, field_rule, prefix + key)
+    return checked
+
+
+def _check_model_params(model: str, params: Dict[str, float], parameter: str) -> None:
+    """Each parameter a named model reads is set once, by ``params`` or by the sweep."""
+    names = MODEL_PARAMS[model]
+    valid = (*names, "g") if "V" in names else names
+    seen = set()
+    for key, path in [(parameter, "sweep.parameter"), *((key, f"params.{key}") for key in params)]:
+        if key not in valid:
+            raise ConfigError(path, f"{model} does not read {key!r}; valid: {', '.join(valid)}")
+        name = "V" if key == "g" and "V" in names else key
+        if name in seen:
+            raise ConfigError(path, f"sets {name}, which is set already; one value would be ignored")
+        seen.add(name)
+    if len(seen) < len(names):
+        missing = [name for name in names if name not in seen]
+        raise ConfigError("params", f"missing parameters {missing} for {model}")
+
+
 def parse_config(path) -> RunConfig:
-    """Parse and validate a JSON run configuration."""
+    """Parse and validate a JSON run configuration against :data:`CONFIG_FIELDS`."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(str(path), "config file does not exist")
@@ -160,116 +248,42 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(str(path), "top-level config must be an object")
+    fields = _check(raw, CONFIG_FIELDS, "")
+    model, sweep, solver = fields["model"], fields["sweep"], fields["solver"]
 
-    model = _require(raw, "model", str, "")
-    if model not in VALID_MODELS:
-        raise ConfigError("model", f"unknown model {model!r}; valid: {VALID_MODELS}")
-
-    params = raw.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("params", "must be an object of numbers")
-    for key, value in params.items():
-        if not _is_number(value):
-            raise ConfigError(f"params.{key}", "must be a finite number")
-
-    sizes = _require(raw, "N", list, "")
-    if not sizes or not all(_is_int(n) and n >= 1 for n in sizes):
-        raise ConfigError("N", "must be a non-empty list of positive integers")
-
-    k_raw = raw.get("k_max", "auto")
-    epsilon = _number(raw, "epsilon", 1e-4, float, "")
-    if epsilon <= 0:
-        raise ConfigError("epsilon", "must be > 0")
-    if k_raw == "auto":
-        k_max = None
-    elif _is_int(k_raw):
-        if k_raw < 0:
-            raise ConfigError("k_max", "must be >= 0")
-        k_max = k_raw
-    else:
-        raise ConfigError("k_max", "must be a non-negative integer or 'auto'")
-    k_limit = raw.get("k_limit", 12)
-    if not _is_int(k_limit) or k_limit < 1:
-        raise ConfigError("k_limit", "must be a positive integer")
-
-    sweep = _require(raw, "sweep", dict, "")
-    parameter = _require(sweep, "parameter", str, "sweep.")
-    grid = _require(sweep, "grid", list, "sweep.")
-    if not grid or not all(_is_number(v) for v in grid):
-        raise ConfigError("sweep.grid", "must be a non-empty list of finite numbers")
-
-    analyses = _require(raw, "analyses", list, "")
-    if not analyses:
-        raise ConfigError("analyses", "must be a non-empty list")
-    for i, token in enumerate(analyses):
-        if token not in VALID_ANALYSES:
-            raise ConfigError(
-                f"analyses[{i}]",
-                f"unknown analysis {token!r}; valid tokens: {', '.join(VALID_ANALYSES)}",
-            )
-
-    observables: List[ObservableSpec] = []
-    for i, entry in enumerate(raw.get("observables", ["Sz"])):
-        if isinstance(entry, str):
-            observables.append(ObservableSpec(entry))
-        elif isinstance(entry, dict) and "name" in entry:
-            observables.append(ObservableSpec(str(entry["name"]), entry.get("file")))
-        else:
-            raise ConfigError(f"observables[{i}]", "must be a name or {name, file}")
     # The truncation scans converge on the first observable.
-    if not observables and (k_max is None or {"converge", "compare_markovian"} & set(analyses)):
+    scans = fields["k_max"] is None or {"converge", "compare_markovian"} & set(fields["analyses"])
+    if not fields["observables"] and scans:
         raise ConfigError("observables", "must be non-empty for k_max 'auto', "
                           "converge or compare_markovian")
-
-    solver = raw.get("solver", {})
-    if not isinstance(solver, dict):
-        raise ConfigError("solver", "must be an object")
-    shift = _number(solver, "shift", 0.0, float, "solver.")
-    eig_count = _number(solver, "count", 6, int, "solver.")
-    tol = _number(solver, "tol", 1e-10, float, "solver.")
-    if eig_count < 1:
-        raise ConfigError("solver.count", "must be >= 1")
-    if tol <= 0:
-        raise ConfigError("solver.tol", "must be > 0")
-
-    workers = raw.get("workers", 1)
-    if not _is_int(workers) or workers < 1:
-        raise ConfigError("workers", "must be a positive integer")
-    seed = _number(raw, "seed", 0, int, "")
-    if seed < 0:
-        raise ConfigError("seed", "must be >= 0")
-    export_matrices = raw.get("export_matrices", False)
-    if not isinstance(export_matrices, bool):
-        raise ConfigError("export_matrices", "must be true or false")
-
-    custom_spec = raw.get("custom")
-    if model == "custom":
-        if not isinstance(custom_spec, dict):
-            raise ConfigError("custom", "required for model == 'custom'")
-        if len(grid) != 1:
-            raise ConfigError(
-                "sweep.grid", "custom models support a single grid point only"
-            )
+    if model != "custom":
+        if fields["custom"] is not None:
+            raise ConfigError("custom", f"read only for model 'custom', not {model!r}")
+        _check_model_params(model, fields["params"], sweep["parameter"])
+    elif fields["custom"] is None:
+        raise ConfigError("custom", "required for model == 'custom'")
+    elif len(sweep["grid"]) != 1:
+        raise ConfigError("sweep.grid", "custom models support a single grid point only")
 
     config = RunConfig(
         model=model,
-        params={k: float(v) for k, v in params.items()},
-        sizes=list(sizes),
-        k_max=k_max,
-        epsilon=epsilon,
-        k_limit=k_limit,
-        sweep_parameter=parameter,
-        sweep_grid=[float(v) for v in grid],
-        analyses=list(analyses),
-        observables=observables,
-        output_dir=str(raw.get("output_dir", "out")),
-        shift=shift,
-        eig_count=eig_count,
-        tol=tol,
-        seed=seed,
-        workers=workers,
-        export_matrices=export_matrices,
-        custom_spec=custom_spec,
+        params=fields["params"],
+        sizes=fields["N"],
+        k_max=fields["k_max"],
+        epsilon=fields["epsilon"],
+        k_limit=fields["k_limit"],
+        sweep_parameter=sweep["parameter"],
+        sweep_grid=sweep["grid"],
+        analyses=fields["analyses"],
+        observables=fields["observables"],
+        output_dir=fields["output_dir"],
+        shift=solver["shift"],
+        eig_count=solver["count"],
+        tol=solver["tol"],
+        seed=fields["seed"],
+        workers=fields["workers"],
+        export_matrices=fields["export_matrices"],
+        custom_spec=fields["custom"],
     )
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     config.config_hash = hashlib.sha256(canonical.encode()).hexdigest()[:16]
@@ -288,76 +302,56 @@ def build_model(config: RunConfig, size: int, sweep_value: float) -> ModelInstan
     """Instantiate the configured model at one grid point."""
     params = dict(config.params)
     params[config.sweep_parameter] = sweep_value
-
-    def need(*names):
-        missing = [n for n in names if n not in params]
-        if missing:
-            raise ConfigError("params", f"missing parameters {missing} for {config.model}")
-        return [params[n] for n in names]
-
-    if config.model == "lmg":
-        gamma, kappa, omega = need("gamma", "kappa", "omega")
-        v = params["g"] * gamma if "g" in params else need("V")[0]
-        return lmg(size, v, gamma, kappa, omega)
-    if config.model == "z2_lmg":
-        gamma, kappa, omega, h = need("gamma", "kappa", "omega", "h")
-        v = params["g"] * gamma if "g" in params else need("V")[0]
-        return z2_lmg(size, v, gamma, kappa, omega, h)
-    if config.model == "two_mode_dicke":
-        g, omega0, omega, kappa = need("g", "omega0", "omega", "kappa")
-        return two_mode_dicke(size, g, omega0, omega, kappa)
-    # custom
-    spec = config.custom_spec
-    h_matrix = read_triplets(spec["hamiltonian_file"]).toarray()
-    baths = []
-    for entry in spec.get("baths", []):
-        coupling = read_triplets(entry["coupling_file"]).toarray()
-        terms = tuple(
-            BathTerm(
-                complex(t["amplitude"][0], t["amplitude"][1]),
-                float(t["frequency"]),
-                float(t["kappa"]),
-            )
-            for t in entry["terms"]
-        )
-        baths.append(BathSpec(coupling, terms))
-    return custom(h_matrix, baths, params=params, size=size)
+    if config.model == "custom":
+        spec = config.custom_spec
+        h_matrix = read_triplets(spec["hamiltonian_file"]).toarray()
+        baths = [
+            BathSpec(read_triplets(bath["coupling_file"]).toarray(),
+                     tuple(BathTerm(t["amplitude"], t["frequency"], t["kappa"])
+                           for t in bath["terms"]))
+            for bath in spec["baths"]
+        ]
+        return custom(h_matrix, baths, params=params, size=size)
+    if "g" in params and "V" in MODEL_PARAMS[config.model]:
+        params["V"] = params.pop("g") * params["gamma"]
+    constructor = {"lmg": lmg, "z2_lmg": z2_lmg, "two_mode_dicke": two_mode_dicke}[config.model]
+    return constructor(size, *(params[name] for name in MODEL_PARAMS[config.model]))
 
 
 def resolve_observables(
     config: RunConfig, model: ModelInstance
 ) -> List[Tuple[str, np.ndarray]]:
-    """Map observable specs to matrices, enforcing Hermiticity."""
+    """Map the configured observables to matrices, enforcing Hermiticity."""
     resolved = []
     spin_ops = None
-    for i, spec in enumerate(config.observables):
-        if spec.file is not None:
-            matrix = read_triplets(spec.file).toarray()
+    for i, (name, file) in enumerate(config.observables):
+        if file is not None:
+            matrix = read_triplets(file).toarray()
             if np.abs(matrix - matrix.conj().T).max() > 1e-10:
                 raise ConfigError(
-                    f"observables[{i}]", f"custom observable {spec.name!r} is not Hermitian"
+                    f"observables[{i}]", f"custom observable {name!r} is not Hermitian"
                 )
             if matrix.shape != (model.dim, model.dim):
                 raise ConfigError(
                     f"observables[{i}]",
-                    f"observable {spec.name!r} has shape {matrix.shape}, "
+                    f"observable {name!r} has shape {matrix.shape}, "
                     f"model dimension is {model.dim}",
                 )
-        elif spec.name in SPIN_OBSERVABLES:
+        elif name in SPIN_OBSERVABLES:
             if model.dim != model.size + 1:
                 raise ConfigError(
                     f"observables[{i}]",
-                    f"named spin observable {spec.name!r} needs a collective-spin model",
+                    f"named spin observable {name!r} needs a collective-spin model",
                 )
             if spin_ops is None:
                 spin_ops = spin_operators(SpinSpace(model.size))
-            matrix = spin_ops[spec.name]
+            matrix = spin_ops[name]
         else:
             raise ConfigError(
                 f"observables[{i}]",
-                f"unknown observable {spec.name!r}; use one of {SPIN_OBSERVABLES} or give a file",
+                f"unknown observable {name!r}; use one of {SPIN_OBSERVABLES} or give a file",
             )
-        resolved.append((spec.name, matrix))
+        resolved.append((name, matrix))
     return resolved
 
 
@@ -523,12 +517,12 @@ def _rows_compare(point: _Point):
 HANDLERS = {
     "steady_state": _rows_steady,
     "gap": _rows_gap,
-    "properties": _rows_properties,
-    "decompose": _rows_decompose,
     "sectors": _rows_sectors,
+    "decompose": _rows_decompose,
     "ssb": _rows_ssb,
     "converge": _rows_converge,
     "compare_markovian": _rows_compare,
+    "properties": _rows_properties,
 }
 
 
@@ -602,9 +596,8 @@ def _load_fragment(fragment: Path) -> Optional[dict]:
     return payload
 
 
-def run(config: RunConfig, workers: Optional[int] = None) -> int:
+def run(config: RunConfig) -> int:
     """Execute a sweep; returns the process exit status (0 ok, 1 partial)."""
-    workers = config.workers if workers is None else workers
     out_dir = Path(config.output_dir)
     points_dir = out_dir / "points"
     points_dir.mkdir(parents=True, exist_ok=True)
@@ -652,8 +645,8 @@ def run(config: RunConfig, workers: Optional[int] = None) -> int:
         )
         os.replace(partial, fragment)
 
-    if workers > 1 and len(pending) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    if config.workers > 1 and len(pending) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
             for outcome, error in pool.map(_point_worker, pending):
                 _record(outcome, error)
     else:
@@ -699,12 +692,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     try:
         config = parse_config(args.config)
+        if args.workers is not None:
+            config.workers = _check(args.workers, CONFIG_FIELDS["workers"][1], "--workers")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.out:
         config.output_dir = args.out
-    return run(config, workers=args.workers)
+    return run(config)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from .builder import assemble
 from .embedding import EmbeddingSpec, steady_state_lm
 from .errors import MatrixValidationError, PairingError
 from .models import ModelInstance
-from .spectra import distinct_from_leading, expectation, spectrum, steady_state
+from .spectra import expectation, steady_state
 from .symmetry import decompose, sector_leading_eigs
 
 #: Default convergence threshold.
@@ -118,28 +118,6 @@ def s_measure(model: ModelInstance, eig_selector: EigSelector, k_max: int) -> fl
     tracked = complex(eig_selector(model, k_max)[0])
     candidates = eig_selector(model, k_max + 1)
     return _paired_distance(tracked, candidates)
-
-
-def gap_selector(count: int = 6, charge: Optional[int] = None) -> EigSelector:
-    """Selector tracking the first decaying eigenvalue (the spectral gap).
-
-    With ``charge`` given the model's declared symmetry is used and the gap is
-    taken inside that sector; otherwise the full generator is used.
-    """
-
-    def select(model: ModelInstance, k_max: int) -> Sequence[complex]:
-        liouv = assemble(model, k_max)
-        if charge is not None:
-            target = decompose(liouv)
-            result = spectrum(target, charge=charge, count=count)
-        else:
-            result = spectrum(liouv, count=count)
-        rest = [complex(v) for v in distinct_from_leading(result.eigenvalues)]
-        if not rest:
-            raise MatrixValidationError("no decaying eigenvalue found; increase count")
-        return rest
-
-    return select
 
 
 def broken_sector_selector(count: int = 10) -> EigSelector:

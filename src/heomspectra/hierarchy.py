@@ -48,7 +48,7 @@ def _compositions(length: int, budget: int) -> Iterator[FlatIndex]:
 
 
 class HierarchySpace:
-    """Enumerated index set with rank/unrank maps and neighbor lookup."""
+    """Enumerated index set with a rank map and neighbor lookup; ``indices[r]`` has rank ``r``."""
 
     __slots__ = ("n_modes", "k_max", "indices", "_rank")
 
@@ -63,9 +63,6 @@ class HierarchySpace:
 
     def rank(self, index: FlatIndex) -> int:
         return self._rank[tuple(index)]
-
-    def unrank(self, rank: int) -> FlatIndex:
-        return self.indices[rank]
 
     def swapped(self, index: FlatIndex) -> FlatIndex:
         """The index with the ``n`` and ``m`` parts exchanged."""

@@ -96,7 +96,7 @@ def devectorize(v: np.ndarray, rows: int, cols: Optional[int] = None) -> np.ndar
 
 @dataclass
 class EigResult:
-    """Eigenvalues with unit-norm right (and optionally left) eigenvectors.
+    """Eigenvalues with unit-norm right eigenvectors.
 
     ``residual_norms[i]`` is ``||A v_i - lambda_i v_i||_2``.
     ``vector_condition`` is the 2-norm condition number of the eigenvector
@@ -106,7 +106,6 @@ class EigResult:
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     residual_norms: np.ndarray
-    left_vectors: Optional[np.ndarray] = None
     vector_condition: Optional[float] = None
 
 
@@ -120,7 +119,7 @@ def _residuals(a: MatrixLike, values: np.ndarray, vectors: np.ndarray) -> np.nda
     return np.linalg.norm(a @ vectors - vectors * values, axis=0)
 
 
-def eig_dense(a: MatrixLike, want_left: bool = False) -> EigResult:
+def eig_dense(a: MatrixLike) -> EigResult:
     """Full spectrum of a square matrix with normalized eigenvectors."""
     m = as_dense(a)
     n, nc = m.shape
@@ -131,16 +130,10 @@ def eig_dense(a: MatrixLike, want_left: bool = False) -> EigResult:
             f"dimension {n} exceeds the dense eigensolver limit {DENSE_EIG_LIMIT}"
         )
     try:
-        if want_left:
-            values, left, right = sla.eig(m, left=True, right=True)
-        else:
-            values, right = sla.eig(m)
-            left = None
+        values, right = sla.eig(m)
     except sla.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
         raise EigenConvergenceError(f"dense eigensolver failed: {exc}") from exc
     right = _normalize_columns(right)
-    if left is not None:
-        left = _normalize_columns(left)
     condition = None
     if n <= _CONDITION_LIMIT:
         condition = float(np.linalg.cond(right))
@@ -148,7 +141,6 @@ def eig_dense(a: MatrixLike, want_left: bool = False) -> EigResult:
         eigenvalues=values,
         right_vectors=right,
         residual_norms=_residuals(m, values, right),
-        left_vectors=left,
         vector_condition=condition,
     )
 

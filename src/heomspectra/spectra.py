@@ -303,13 +303,6 @@ class PropertyReport:
     residuals: Dict[str, float] = field(default_factory=dict)
     checked: Dict[str, str] = field(default_factory=dict)
 
-    def to_text(self) -> str:
-        lines = [
-            f"{key} {self.residuals[key]:.17g} {self.checked.get(key, 'full')}"
-            for key in sorted(self.residuals)
-        ]
-        return "\n".join(lines) + "\n"
-
 
 def _conjugate_pairing_distance(values: np.ndarray) -> float:
     """Largest distance from an eigenvalue to the conjugated multiset.

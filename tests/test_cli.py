@@ -203,6 +203,8 @@ class TestRun:
         bad.write_text("{not json")
         assert main(["--config", str(bad)]) == 2
         config_path = write_config(tmp_path)
+        assert main(["--config", str(config_path), "--workers", "0"]) == 2
+        assert "config error: --workers:" in capsys.readouterr().err
         assert main(["--config", str(config_path), "--out", str(tmp_path / "cli_out")]) == 0
         assert (tmp_path / "cli_out" / "results.csv").exists()
 
@@ -390,32 +392,66 @@ def run_cli(tmp_path, config_path):
     )
 
 
-@pytest.mark.parametrize("overrides", [
-    {"epsilon": "abc"},
-    {"params": {"gamma": -1.0, "kappa": 1.0, "omega": 1.0}},
-    {"solver": {"shift": "left"}},
-    {"solver": {"count": "six"}},
-    {"solver": {"tol": None}},
-    {"seed": "abc"},
-    {"seed": [1]},
-    {"seed": -1},
-    {"k_max": True},
-    {"N": [True]},
-    {"export_matrices": "false"},
-    {"seed": 1.5},
-    {"solver": {"count": 2.9}},
-    {"seed": "7"},
-    {"solver": {"count": "3"}},
-    {"solver": {"tol": float("nan")}},
-    {"solver": {"shift": float("inf")}},
-    {"k_max": "auto", "epsilon": float("nan")},
-    {"params": {"gamma": True, "kappa": 1.0, "omega": 1.0}},
-    {"sweep": {"parameter": "g", "grid": [True]}},
-])
-def test_bad_values_exit_2_without_traceback(tmp_path, overrides):
+LMG_PARAMS = {"gamma": 1.0, "kappa": 1.0, "omega": 1.0}
+TERM = {"amplitude": [0.1, 0.0], "frequency": 0.5, "kappa": 1.0}
+CUSTOM = {"hamiltonian_file": "h.txt", "baths": [{"coupling_file": "l.txt", "terms": [TERM]}]}
+# (overrides, the field the error names)
+BAD_VALUES = [
+    ({"epsilon": "abc"}, "epsilon"),
+    ({"params": {"gamma": -1.0, "kappa": 1.0, "omega": 1.0}}, "params"),
+    ({"solver": {"shift": "left"}}, "solver.shift"),
+    ({"solver": {"count": "six"}}, "solver.count"),
+    ({"solver": {"tol": None}}, "solver.tol"),
+    ({"seed": "abc"}, "seed"),
+    ({"seed": [1]}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"k_max": True}, "k_max"),
+    ({"N": [True]}, "N[0]"),
+    ({"export_matrices": "false"}, "export_matrices"),
+    ({"seed": 1.5}, "seed"),
+    ({"solver": {"count": 2.9}}, "solver.count"),
+    ({"seed": "7"}, "seed"),
+    ({"solver": {"count": "3"}}, "solver.count"),
+    ({"solver": {"tol": float("nan")}}, "solver.tol"),
+    ({"solver": {"shift": float("inf")}}, "solver.shift"),
+    ({"k_max": "auto", "epsilon": float("nan")}, "epsilon"),
+    ({"params": {"gamma": True, "kappa": 1.0, "omega": 1.0}}, "params.gamma"),
+    ({"sweep": {"parameter": "g", "grid": [True]}}, "sweep.grid[0]"),
+    # unknown keys at every level
+    ({"analysis": ["gap"]}, "analysis"),
+    ({"solver": {"cout": 3}}, "solver.cout"),
+    ({"sweep": {"parameter": "g", "grid": [0.2, 0.5], "step": 1}}, "sweep.step"),
+    ({"observables": [{"name": "Sz", "fil": "x.txt"}]}, "observables[0].fil"),
+    ({"observables": [{"name": "X", "file": "missing.txt"}]}, "observables[0].file"),
+    # parameters the model does not read, or reads once
+    ({"params": {**LMG_PARAMS, "h": 9}}, "params.h"),
+    ({"sweep": {"parameter": "foo", "grid": [0.2, 0.5]}}, "sweep.parameter"),
+    ({"params": {**LMG_PARAMS, "V": 0.3}}, "params.V"),
+    ({"params": {**LMG_PARAMS, "g": 0.3}}, "params.g"),
+    ({"custom": CUSTOM}, "custom"),
+    ({"model": "two_mode_dicke", "params": {"omega0": 1.0, "omega": 5.0, "kappa": 5.0},
+      "custom": CUSTOM}, "custom"),
+    # values of the wrong type
+    ({"output_dir": None}, "output_dir"),
+    ({"output_dir": 3}, "output_dir"),
+    ({"N": [4.5]}, "N[0]"),
+    ({"model": "custom", "custom": {}}, "custom.hamiltonian_file"),
+    ({"model": "custom", "custom": {"hamiltonian_file": "h.txt", "baths": [{}]}},
+     "custom.baths[0].coupling_file"),
+    ({"model": "custom", "custom": {**CUSTOM, "baths": [
+        {"coupling_file": "l.txt", "terms": [{**TERM, "amplitude": [1]}]}]}},
+     "custom.baths[0].terms[0].amplitude"),
+]
+
+
+@pytest.mark.parametrize("overrides, field", BAD_VALUES,
+                         ids=[f"overrides{i}" for i in range(len(BAD_VALUES))])
+def test_bad_values_exit_2_without_traceback(tmp_path, overrides, field):
+    for name in ("h.txt", "l.txt"):  # the matrix files of CUSTOM
+        write_triplets(qubit_operators()["sigma_z"], tmp_path / name)
     proc = run_cli(tmp_path, write_config(tmp_path, **overrides))
     assert proc.returncode == 2
-    assert "config error" in proc.stderr
+    assert f"config error: {field}:" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -429,6 +465,20 @@ def test_empty_observables_for_a_scan_exit_2(tmp_path, overrides):
     assert proc.returncode == 2
     assert "config error: observables" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_documented_configs_parse(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("Example config:")[1].split("```json")[1].split("```")[0]
+    (tmp_path / "readme.json").write_text(example)
+    assert parse_config(tmp_path / "readme.json").sizes == [10, 20]
+    # the shape of the benchmark's CLI sweep, with an integral float for k_max
+    config = parse_config(write_config(
+        tmp_path, model="z2_lmg", params={"gamma": 0.5, "kappa": 1.0, "omega": 1.0, "h": 0.5},
+        N=[10], k_max=7.0, sweep={"parameter": "g", "grid": [-3.0, -2.9, -2.8]},
+        analyses=["steady_state", "gap", "decompose", "sectors", "ssb"],
+        observables=["Sz", "Sx"], solver={"count": 6, "tol": 1e-10}, seed=1))
+    assert config.k_max == 7 and isinstance(config.k_max, int)
 
 
 def test_empty_observables_allowed_without_a_scan(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from heomspectra.builder import assemble
 from heomspectra.convergence import (
     ConvergenceTrace,
     auto_cutoff,
@@ -8,13 +9,13 @@ from heomspectra.convergence import (
     broken_sector_selector,
     c_measure,
     embedding_expectation,
-    gap_selector,
     s_measure,
     steady_expectation,
 )
 from heomspectra.errors import MatrixValidationError, PairingError
 from heomspectra.models import lmg, z2_lmg
 from heomspectra.operators import SpinSpace, qubit_operators, spin_operators
+from heomspectra.spectra import distinct_from_leading, spectrum
 
 from conftest import make_qubit_decay
 
@@ -50,15 +51,19 @@ class TestCMeasure:
         assert values[2] < values[0]
 
 
+def gap_selector(model, k):
+    """The decaying eigenvalues at depth ``k``, the first decaying one (the gap) first."""
+    return distinct_from_leading(spectrum(assemble(model, k), count=6).eigenvalues)
+
+
 class TestSMeasure:
     def test_zero_for_stationary_spectrum(self):
         model = make_qubit_decay(amplitude=0.0, omega_q=0.9)
-        selector = gap_selector(count=6)
-        assert s_measure(model, selector, 2) <= 1e-9
+        assert s_measure(model, gap_selector, 2) <= 1e-9
 
     def test_gap_selector_tracks(self):
         model = lmg(6, 0.4, 1.0, 1.0, 1.0)
-        value = s_measure(model, gap_selector(count=6), 3)
+        value = s_measure(model, gap_selector, 3)
         assert 0 <= value < 1.0
 
     def test_ambiguous_pairing_raises(self):

@@ -56,7 +56,7 @@ def test_enumeration_size_and_rank_inverse(m, k):
     assert len(space) == count(m, k)
     assert space.indices[0] == (0,) * (2 * m)
     for r in range(len(space)):
-        assert space.rank(space.unrank(r)) == r
+        assert space.rank(space.indices[r]) == r
 
 
 def test_enumeration_budget():
@@ -68,13 +68,13 @@ def test_neighbor_moves():
     space = enumerate_indices(2, 2)
     start = (0, 0, 0, 0)
     up = space.neighbor(start, 0, "n", +1)
-    assert space.unrank(up) == (1, 0, 0, 0)
+    assert space.indices[up] == (1, 0, 0, 0)
     assert space.neighbor(start, 0, "m", -1) is None  # below zero
     deep = (1, 1, 0, 0)
     assert space.neighbor(deep, 1, "m", +1) is None  # crosses the cut
     # opposite move returns to the start
-    back = space.neighbor(space.unrank(up), 0, "n", -1)
-    assert space.unrank(back) == start
+    back = space.neighbor(space.indices[up], 0, "n", -1)
+    assert space.indices[back] == start
 
 
 def test_neighbor_validation():
@@ -93,7 +93,7 @@ def test_bfs_connectivity(m, k):
     queue = deque([0])
     while queue:
         rank = queue.popleft()
-        idx = space.unrank(rank)
+        idx = space.indices[rank]
         for mode in range(m):
             for part in ("n", "m"):
                 for delta in (+1, -1):

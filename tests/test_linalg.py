@@ -116,14 +116,6 @@ class TestEigDense:
         assert np.abs(res.eigenvalues).max() <= 1e-7
         assert res.vector_condition > 1e6  # near-parallel eigenvectors
 
-    def test_left_vectors(self, rng):
-        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        res = eig_dense(a, want_left=True)
-        for i in range(6):
-            lhs = res.left_vectors[:, i].conj() @ a
-            rhs = res.eigenvalues[i] * res.left_vectors[:, i].conj()
-            assert np.abs(lhs - rhs).max() <= 1e-10
-
     def test_conjugate_transpose_spectrum(self, rng):
         a = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
         va = np.linalg.eigvals(a)
