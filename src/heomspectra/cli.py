@@ -256,6 +256,9 @@ def parse_config(path) -> RunConfig:
     if not fields["observables"] and scans:
         raise ConfigError("observables", "must be non-empty for k_max 'auto', "
                           "converge or compare_markovian")
+    for key in ("epsilon", "k_limit"):
+        if key in raw and not scans:
+            raise ConfigError(key, "read only by k_max 'auto', converge or compare_markovian")
     if model != "custom":
         if fields["custom"] is not None:
             raise ConfigError("custom", f"read only for model 'custom', not {model!r}")
@@ -298,18 +301,26 @@ def parse_config(path) -> RunConfig:
     return config
 
 
+def _read_matrix(file: str, path: str) -> np.ndarray:
+    """A triplet matrix file as a dense array; an unreadable one is a config error at ``path``."""
+    try:
+        return read_triplets(file).toarray()
+    except MatrixValidationError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
 def build_model(config: RunConfig, size: int, sweep_value: float) -> ModelInstance:
     """Instantiate the configured model at one grid point."""
     params = dict(config.params)
     params[config.sweep_parameter] = sweep_value
     if config.model == "custom":
         spec = config.custom_spec
-        h_matrix = read_triplets(spec["hamiltonian_file"]).toarray()
+        h_matrix = _read_matrix(spec["hamiltonian_file"], "custom.hamiltonian_file")
         baths = [
-            BathSpec(read_triplets(bath["coupling_file"]).toarray(),
+            BathSpec(_read_matrix(bath["coupling_file"], f"custom.baths[{i}].coupling_file"),
                      tuple(BathTerm(t["amplitude"], t["frequency"], t["kappa"])
                            for t in bath["terms"]))
-            for bath in spec["baths"]
+            for i, bath in enumerate(spec["baths"])
         ]
         return custom(h_matrix, baths, params=params, size=size)
     if "g" in params and "V" in MODEL_PARAMS[config.model]:
@@ -326,16 +337,16 @@ def resolve_observables(
     spin_ops = None
     for i, (name, file) in enumerate(config.observables):
         if file is not None:
-            matrix = read_triplets(file).toarray()
-            if np.abs(matrix - matrix.conj().T).max() > 1e-10:
-                raise ConfigError(
-                    f"observables[{i}]", f"custom observable {name!r} is not Hermitian"
-                )
+            matrix = _read_matrix(file, f"observables[{i}].file")
             if matrix.shape != (model.dim, model.dim):
                 raise ConfigError(
                     f"observables[{i}]",
                     f"observable {name!r} has shape {matrix.shape}, "
                     f"model dimension is {model.dim}",
+                )
+            if np.abs(matrix - matrix.conj().T).max() > 1e-10:
+                raise ConfigError(
+                    f"observables[{i}]", f"custom observable {name!r} is not Hermitian"
                 )
         elif name in SPIN_OBSERVABLES:
             if model.dim != model.size + 1:
@@ -524,6 +535,8 @@ HANDLERS = {
     "compare_markovian": _rows_compare,
     "properties": _rows_properties,
 }
+#: The analyses that need only a null vector, run after the others.
+NULL_VECTOR_ANALYSES = ("steady_state", "ssb")
 
 
 def execute_point(config: RunConfig, index: int, size: int, sweep_value: float):
@@ -533,9 +546,13 @@ def execute_point(config: RunConfig, index: int, size: int, sweep_value: float):
     k_max = _resolve_k_max(point)
     point.liouv = assemble(model, k_max)
     run_id = f"{config.config_hash[:8]}-{index:04d}"
+    # steady_state and ssb read a null vector: run after the analyses that take
+    # spectra, they find the solve of its matrix cached instead of factorizing it.
+    order = sorted(dict.fromkeys(config.analyses), key=lambda name: name in NULL_VECTOR_ANALYSES)
+    results = {analysis: HANDLERS[analysis](point) for analysis in order}
     rows = []
     for analysis in config.analyses:
-        for analysis_name, key, re_value, im_value in HANDLERS[analysis](point):
+        for analysis_name, key, re_value, im_value in results[analysis]:
             rows.append(
                 {
                     "run_id": run_id,

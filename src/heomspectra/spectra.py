@@ -20,7 +20,7 @@ from .errors import (
     MatrixValidationError,
     SizeBudgetError,
 )
-from .linalg import DENSE_EIG_LIMIT, _nearest_order, as_dense, eig_dense, eig_solve
+from .linalg import DENSE_EIG_LIMIT, _nearest_order, as_dense, eig_dense, eig_null, eig_solve
 from .symmetry import SectorDecomposition, decompose, leading_order
 
 #: An eigenvalue is considered degenerate with the steady state below this.
@@ -190,12 +190,14 @@ def canonical_physical_state(block: np.ndarray) -> Tuple[PhysicalState, complex]
 def _null_vector(matrix, count: int, tol: float, seed: int, shift: complex, cache=None):
     """The null vector of ``matrix``: the steady-state rule of both pictures.
 
-    One solve of ``min(max(count, 2), n)`` eigenpairs, cached in ``cache``.
-    No eigenvalue within :data:`ZERO_MULTIPLICITY_TOL` of zero raises
+    The eigenpairs nearest zero come from :func:`linalg.eig_null`: the cached
+    solve of ``spectrum`` for ``min(max(count, 2), n)`` eigenpairs when there
+    is one, otherwise inverse iteration, cached in ``cache`` as well.  No
+    eigenvalue within :data:`ZERO_MULTIPLICITY_TOL` of zero raises
     :class:`ExtractionError`, more than one :class:`DegenerateSteadyStateError`.
     """
-    res = eig_solve(matrix, shift, min(max(count, 2), matrix.shape[0]), tol=tol,
-                    seed=seed, cache=cache)
+    res = eig_null(matrix, shift, min(max(count, 2), matrix.shape[0]), tol=tol,
+                   seed=seed, cache=cache)
     values = res.eigenvalues
     near_zero = np.flatnonzero(np.abs(values) < ZERO_MULTIPLICITY_TOL)
     if near_zero.size == 0:

@@ -267,10 +267,22 @@ class TestSolverOptions:
         execute_point(config, 0, 2, 1.0)
         assert dims == [assemble(build_model(config, 2, 1.0), 2).dim]
 
-    def test_config_shift_reaches_the_solver(self, tmp_path, eig_calls):
+    def test_config_shift_reaches_the_solver(self, tmp_path, eig_calls, refined_calls):
         config = parse_config(write_config(tmp_path, **{**SSB_POINT, "solver": {"shift": 0.25}}))
         execute_point(config, 0, 8, -2.9)
         assert eig_calls and all(shift == 0.25 for shift, _, _ in eig_calls)
+        # one factorization per sector: the steady states read the shifted sector-0 solve
+        assert len(refined_calls) == len(eig_calls) == 2
+
+    @pytest.mark.parametrize("analyses", [["steady_state", "sectors"],
+                                          ["sectors", "steady_state"]])
+    def test_steady_state_reads_the_sector_solve(self, tmp_path, refined_calls, analyses):
+        config = parse_config(write_config(tmp_path, analyses=analyses))
+        _, rows = execute_point(config, 0, 4, 0.2)
+        # one factorization per parity sector, none for the steady state
+        assert len(refined_calls) == 2
+        names = [row["analysis"] for row in rows]
+        assert sorted(set(names), key=names.index) == analyses
 
     def _config(self, tmp_path, **overrides):
         return parse_config(write_config(
@@ -303,38 +315,43 @@ class TestSolverOptions:
         for call in calls:
             self._assert_configured(call)
 
-    def test_point_runs_one_truncation_scan(self, tmp_path, eig_calls, monkeypatch):
+    def test_point_runs_one_truncation_scan(self, tmp_path, eig_calls, refined_calls,
+                                            monkeypatch):
         scans = spy(monkeypatch, "auto_truncate")
         config = self._config(tmp_path, k_max="auto", analyses=["converge", "compare_markovian"])
         _, rows = execute_point(config, 0, 4, 0.2)
         assert len(scans) == 1
-        point_solves = len(eig_calls)
+        point_solves = len(eig_calls), len(refined_calls)
         model = build_model(config, 4, 0.2)
         sz = resolve_observables(config, model)[0][1]
         opts = {"count": config.eig_count, "tol": config.tol, "seed": config.seed,
                 "shift": config.shift}
         eig_calls.clear()
+        refined_calls.clear()
         heom = convergence.auto_truncate(model, sz, epsilon=config.epsilon, k_start=1,
                                          k_limit=config.k_limit, **opts)
         convergence.auto_cutoff(model, sz, epsilon=config.epsilon, n_start=1, n_limit=16, **opts)
         # k_max, converge and compare_markovian share the scan; only the cutoff scan is added
-        assert point_solves == len(eig_calls)
+        assert point_solves == (len(eig_calls), len(refined_calls))
+        assert point_solves[1] > 0
         assert {int(row["k_max"]) for row in rows} == {heom.selected}
 
-    def test_compare_adds_no_solve_to_the_scans(self, tmp_path, eig_calls):
+    def test_compare_adds_no_solve_to_the_scans(self, tmp_path, eig_calls, refined_calls):
         config = self._config(tmp_path, analyses=["compare_markovian"])
         _, rows = execute_point(config, 0, 4, 0.2)
-        point_solves = len(eig_calls)
+        point_solves = len(eig_calls), len(refined_calls)
         model = build_model(config, 4, 0.2)
         sz = resolve_observables(config, model)[0][1]
         opts = {"count": config.eig_count, "tol": config.tol, "seed": config.seed,
                 "shift": config.shift}
         eig_calls.clear()
+        refined_calls.clear()
         heom = convergence.auto_truncate(model, sz, epsilon=config.epsilon, k_start=1,
                                          k_limit=config.k_limit, **opts)
         lm = convergence.auto_cutoff(model, sz, epsilon=config.epsilon, n_start=1,
                                      n_limit=16, **opts)
-        assert point_solves == len(eig_calls)
+        assert point_solves == (len(eig_calls), len(refined_calls))
+        assert point_solves[1] > 0
         # the same value the recomputed steady states give
         delta = abs(convergence.steady_expectation(model, sz, heom.selected, **opts)
                     - convergence.embedding_expectation(model, sz, lm.selected, **opts))
@@ -441,6 +458,15 @@ BAD_VALUES = [
     ({"model": "custom", "custom": {**CUSTOM, "baths": [
         {"coupling_file": "l.txt", "terms": [{**TERM, "amplitude": [1]}]}]}},
      "custom.baths[0].terms[0].amplitude"),
+    # a matrix file that cannot be read
+    ({"observables": [{"name": "X", "file": "bad.txt"}]}, "observables[0].file"),
+    ({"observables": [{"name": "X", "file": "wide.txt"}]}, "observables[0]"),
+    ({"model": "custom", "params": {}, "sweep": {"parameter": "x", "grid": [0.0]},
+      "custom": {**CUSTOM, "hamiltonian_file": "bad.txt"}}, "custom.hamiltonian_file"),
+    # fields without effect: no truncation scan runs at an integer k_max
+    ({"epsilon": 0.5}, "epsilon"),
+    ({"k_limit": 5}, "k_limit"),
+    ({"analyses": ["steady_state", "gap"], "k_limit": 5, "epsilon": 1e-3}, "epsilon"),
 ]
 
 
@@ -449,6 +475,8 @@ BAD_VALUES = [
 def test_bad_values_exit_2_without_traceback(tmp_path, overrides, field):
     for name in ("h.txt", "l.txt"):  # the matrix files of CUSTOM
         write_triplets(qubit_operators()["sigma_z"], tmp_path / name)
+    (tmp_path / "bad.txt").write_text("2 2 x\n")
+    (tmp_path / "wide.txt").write_text("2 3 0\n")
     proc = run_cli(tmp_path, write_config(tmp_path, **overrides))
     assert proc.returncode == 2
     assert f"config error: {field}:" in proc.stderr

@@ -16,6 +16,7 @@ from heomspectra.linalg import (
     clean_sparse,
     devectorize,
     eig_dense,
+    eig_null,
     eig_solve,
     eig_targeted,
     herm_sqrt,
@@ -227,6 +228,59 @@ class TestShiftInvert:
         assert list(cache) == [(suggested, 2, 1e-10, 0)]
 
 
+class TestNullIteration:
+    """Block inverse iteration on one LU near zero, for the null vector."""
+
+    @pytest.fixture
+    def matrix(self):
+        # a rate matrix of an irreducible chain above the dense fallback:
+        # columns sum to zero, and the stationary state is unique
+        state = np.random.RandomState(5)
+        n = 300
+        rates = sp.random(n, n, density=0.02, random_state=state).tolil()
+        rates.setdiag(0.0)
+        rates = rates + sp.diags([np.ones(n - 1), np.ones(n - 1)], [1, -1])
+        return (rates - sp.diags(np.asarray(rates.sum(axis=0)).ravel())).tocsr().astype(complex)
+
+    def test_null_vector_with_one_factorization(self, matrix, eig_calls, refined_calls):
+        cache = {}
+        res = eig_null(matrix, 0.0, 6, cache=cache)
+        assert res.eigenvalues.size == 2 and abs(res.eigenvalues[0]) <= 1e-12
+        assert res.residual_norms[0] <= 1e-12
+        assert abs(res.eigenvalues[1]) > 1e-3
+        assert eig_null(matrix, 0.0, 6, cache=cache) is res
+        assert eig_calls == [] and len(refined_calls) == 1
+        scale = np.abs(matrix.data).max()
+        assert refined_calls[0] == pytest.approx(-1e-6 * scale)
+
+    def test_reads_a_cached_spectrum_solve(self, matrix, refined_calls):
+        cache = {}
+        solved = eig_solve(matrix, 0.0, 6, cache=cache)
+        assert eig_null(matrix, 0.0, 6, cache=cache) is solved
+        assert len(refined_calls) == 1
+
+    def test_small_matrix_takes_the_dense_path(self, eig_calls, refined_calls):
+        a = sp.diags([0.0, -1.0, -2.0]).tocsr()
+        res = eig_null(a, 0.0, 2)
+        assert res.eigenvalues.tolist() == [0.0, -1.0]
+        assert len(eig_calls) == 1 and refined_calls == []
+
+    def test_capped_iteration_raises_with_ritz_values(self, matrix, monkeypatch):
+        monkeypatch.setattr(linalg, "NULL_ITERATION_LIMIT", 1)
+        cache = {}
+        with pytest.raises(EigenConvergenceError) as info:
+            eig_null(matrix, 0.0, 6, cache=cache)
+        assert len(info.value.ritz_values) == 2 and cache == {}
+
+    def test_zero_pivot_raises_singular_shift(self, refined_calls):
+        a = sp.identity(700, dtype=complex, format="csr") * 0.0  # scale 0: sigma is the shift
+        cache = {}
+        with pytest.raises(SingularShiftError) as info:
+            eig_null(a, 0.0, 6, cache=cache)
+        assert info.value.suggested_shift != 0.0
+        assert refined_calls == [0.0] and cache == {}
+
+
 class TestHermSqrt:
     def test_identity(self):
         assert np.abs(herm_sqrt(np.eye(3)) - np.eye(3)).max() <= 1e-14
@@ -269,4 +323,15 @@ class TestTriplets:
         path = tmp_path / "bad.txt"
         path.write_text("2 2\n")
         with pytest.raises(MatrixValidationError):
+            read_triplets(path)
+
+    @pytest.mark.parametrize("text, line", [
+        ("2 2 x\n", "header"), ("", "header"), ("2 -2 0\n", "header"),
+        ("2 2 1\n0 0 1.0\n", "line 2"), ("2 2 1\n0 0 one 0\n", "line 2"),
+        ("2 2 2\n0 0 1 0\n", "line 3"), ("2 2 1\n99999999999999999999 0 1 0\n", "line 2"),
+    ])
+    def test_malformed_file(self, tmp_path, text, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(MatrixValidationError, match=line):
             read_triplets(path)

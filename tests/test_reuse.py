@@ -36,21 +36,29 @@ def decomp(liouv):
 
 
 class TestSharedSolves:
-    def test_steady_state_then_gap_solve_once(self, plain_liouv, eig_calls):
-        steady_state(plain_liouv, count=6, tol=1e-10, seed=3)
+    def test_gap_then_steady_state_factorize_once(self, plain_liouv, refined_calls):
         gap(plain_liouv, count=6, tol=1e-10, seed=3)
-        assert len(eig_calls) == 1
+        steady_state(plain_liouv, count=6, tol=1e-10, seed=3)
+        assert len(refined_calls) == 1
 
-    def test_symmetric_steady_state_then_sector_spectrum_solve_once(self, liouv, eig_calls):
+    def test_symmetric_sector_spectrum_then_steady_state_factorize_once(self, liouv,
+                                                                        refined_calls):
         own = decompose(liouv)
-        steady_state(own, count=6, tol=1e-10, seed=3)
         spectrum(own, charge=0, count=6, tol=1e-10, seed=3)
-        assert len(eig_calls) == 1
+        steady_state(own, count=6, tol=1e-10, seed=3)
+        assert len(refined_calls) == 1
 
-    def test_sector_eigs_then_sector_steady_state_solve_once(self, decomp, eig_calls):
+    def test_sector_eigs_then_sector_steady_state_solve_once(self, decomp, refined_calls):
         sector_leading_eigs(decomp, 0, count=6)
         steady_state(decomp, charge=0)
-        assert len(eig_calls) == 1
+        assert len(refined_calls) == 1
+
+    def test_steady_state_alone_factorizes_once_without_arnoldi(self, liouv, eig_calls,
+                                                               refined_calls):
+        own = decompose(liouv)
+        first = steady_state(own, seed=3)[0].matrix
+        assert np.array_equal(steady_state(own, seed=3)[0].matrix, first)
+        assert eig_calls == [] and len(refined_calls) == 1
 
     def test_ssb_pair_reuses_the_broken_sector_solve(self, eig_calls):
         model = z2_lmg(8, -1.45, 0.5, 1.0, 1.0, 0.5)
@@ -92,11 +100,11 @@ class TestSharedSolves:
         spectrum(liouv, charge=1, count=6)
         assert len(eig_calls) == 1
 
-    def test_embedding_solve_is_not_cached(self, eig_calls):
+    def test_embedding_solve_is_not_cached(self, refined_calls):
         spec = EmbeddingSpec(lmg(2, 0.3, 1.0, 1.0, 1.0), (2,))
         steady_state_lm(spec)
         steady_state_lm(spec)
-        assert len(eig_calls) == 2
+        assert len(refined_calls) == 2
 
 
 class TestNoAliasing:
@@ -143,15 +151,17 @@ def test_generator_is_freed_without_the_garbage_collector():
 
 
 class TestShift:
-    def test_shift_reaches_the_solver(self, liouv, decomp, eig_calls):
-        steady_state(liouv, shift=0.25)
+    def test_shift_reaches_the_solver(self, liouv, decomp, eig_calls, refined_calls):
         gap(decomp, charge=1, shift=0.25)
         sector_leading_eigs(decomp, 0, count=6, shift=0.25)
-        assert [call[0] for call in eig_calls] == [0.25, 0.25, 0.25]
+        steady_state(decomp, shift=0.25)  # reads the sector-0 solve
+        steady_state(liouv, shift=0.25)  # inverse iteration near the shift
+        assert [call[0] for call in eig_calls] == [0.25, 0.25]
+        assert len(refined_calls) == 3 and abs(refined_calls[2] - 0.25) < 1e-4
 
-    def test_default_shift_is_zero(self, liouv, eig_calls):
+    def test_default_shift_is_zero(self, liouv, refined_calls):
         steady_state(liouv)
-        assert eig_calls[0][0] == 0.0
+        assert -1e-4 < refined_calls[0] < 0.0
 
 
 class TestDistinctFromLeading:
@@ -170,18 +180,27 @@ class TestDistinctFromLeading:
 class TestSolverLogging:
     def test_cache_hit_is_logged(self, plain_liouv, caplog):
         caplog.set_level(logging.DEBUG, logger="heomspectra")
-        steady_state(plain_liouv)
-        assert not [r for r in caplog.records if "reusing" in r.getMessage()]
         gap(plain_liouv)
+        assert not [r for r in caplog.records if "reusing" in r.getMessage()]
+        steady_state(plain_liouv)
         hits = [r for r in caplog.records if "reusing" in r.getMessage()]
         assert len(hits) == 1 and hits[0].levelno == logging.DEBUG
 
     def test_symmetric_cache_hit_is_logged(self, liouv, caplog):
         caplog.set_level(logging.DEBUG, logger="heomspectra")
         own = decompose(liouv)
+        spectrum(own, charge=0, count=6)
+        assert not [r for r in caplog.records if "reusing" in r.getMessage()]
+        steady_state(own)
+        hits = [r for r in caplog.records if "reusing" in r.getMessage()]
+        assert len(hits) == 1 and hits[0].levelno == logging.DEBUG
+
+    def test_null_vector_cache_hit_is_logged(self, liouv, caplog):
+        caplog.set_level(logging.DEBUG, logger="heomspectra")
+        own = decompose(liouv)
         steady_state(own)
         assert not [r for r in caplog.records if "reusing" in r.getMessage()]
-        spectrum(own, charge=0, count=6)
+        steady_state(own)
         hits = [r for r in caplog.records if "reusing" in r.getMessage()]
         assert len(hits) == 1 and hits[0].levelno == logging.DEBUG
 

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from heomspectra.builder import assemble
 from heomspectra.embedding import EmbeddingSpec, steady_state_lm
@@ -17,6 +18,7 @@ from heomspectra.spectra import (
     canonical_physical_state,
     check_properties,
     expectation,
+    _null_vector,
     gap,
     spectrum,
     steady_state,
@@ -110,6 +112,37 @@ class TestChargeZeroSteadyState:
                        symmetry=SymmetrySpec((0, 1), (1,)))
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(assemble(model, 0))
+
+
+class TestSparseNullVector:
+    """The null-vector rule above the dense fallback: inverse iteration on one LU."""
+
+    @pytest.fixture(scope="class")
+    def sector(self):
+        sector = decompose(assemble(lmg(4, 0.3, 1.0, 1.0, 1.0), 3)).sector(0)
+        assert sector.shape == (124, 124)
+        return sector
+
+    def test_degenerate_block_diagonal_raises(self, sector, refined_calls):
+        doubled = sp.block_diag([sector, sector], format="csr")
+        assert doubled.shape == (248, 248)
+        with pytest.raises(DegenerateSteadyStateError):
+            _null_vector(doubled, 6, 1e-10, 0, 0.0)
+        assert len(refined_calls) == 1
+
+    def test_no_zero_eigenvalue_raises(self, sector, refined_calls):
+        shifted = (sector - 0.3 * sp.identity(124, format="csr")).tocsr()
+        with pytest.raises(ExtractionError):
+            _null_vector(shifted, 6, 1e-10, 0, 0.0)
+        assert len(refined_calls) == 1
+
+    def test_matches_the_dense_null_vector(self, sector, eig_calls, refined_calls):
+        vector = _null_vector(sector, 6, 1e-10, 0, 0.0)
+        full = eig_dense(sector)
+        null = full.right_vectors[:, np.argmin(np.abs(full.eigenvalues))]
+        k = np.argmax(np.abs(null))
+        assert np.abs(vector / vector[k] - null / null[k]).max() <= 1e-10
+        assert eig_calls == [] and len(refined_calls) == 1
 
 
 class TestGap:
