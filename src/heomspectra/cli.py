@@ -462,22 +462,21 @@ def _rows_decompose(point: _Point):
 
 
 def _rows_sectors(point: _Point):
-    decomp, count = point.decomp, point.config.eig_count
+    decomp = point.decomp
     rows = []
     for charge in decomp.charges_present():
-        dim = decomp.dimension(charge)
-        res = sector_leading_eigs(decomp, charge, **point.solver(min(count, dim)))
-        rows.append(("sectors", f"dim[k={charge}]", float(dim), 0.0))
+        res = sector_leading_eigs(decomp, charge, **point.solver())
+        rows.append(("sectors", f"dim[k={charge}]", float(decomp.dimension(charge)), 0.0))
         for i, value in enumerate(res.eigenvalues):
             rows.append(("sectors", f"lambda_{i}[k={charge}]", value.real, value.imag))
     return rows
 
 
 def _rows_ssb(point: _Point):
-    decomp, count = point.decomp, point.config.eig_count
+    decomp = point.decomp
     scale = point.model.params.get("omega", 1.0)
     rows = []
-    res = sector_leading_eigs(decomp, 1, **point.solver(min(count, decomp.dimension(1))))
+    res = sector_leading_eigs(decomp, 1, **point.solver())
     value = complex(res.eigenvalues[0])
     rows.append(("ssb", "lambda_0[k=1]", value.real, value.imag))
     rows.append(("ssb", "gate_ratio", abs(value.imag) / scale, 0.0))

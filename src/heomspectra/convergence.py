@@ -132,8 +132,7 @@ def broken_sector_selector(count: int = 10) -> EigSelector:
                 continue
             if decomp.spec.group_order == 0 and charge < 0:
                 continue  # conjugate partners mirror the positive charges
-            dim = decomp.dimension(charge)
-            res = sector_leading_eigs(decomp, charge, count=min(count, dim))
+            res = sector_leading_eigs(decomp, charge, count=count)
             value = complex(res.eigenvalues[0])
             leaders.append((abs(value.real), value))
         if not leaders:

@@ -306,14 +306,20 @@ def eig_solve(
 ) -> EigResult:
     """The one spectral solve: :func:`eig_targeted`, memoized in ``cache``.
 
-    The result is stored under ``(shift, count, tol, seed)``; ``cache``
+    ``count`` is clipped to the dimension of ``a``, and the result is stored
+    under ``(shift, count, tol, seed)`` with the clipped count; ``cache``
     belongs to the one matrix ``a``.  A failed solve raises and stores
     nothing.  A cached result is returned as is, so callers must index rather
     than modify its arrays, and the matrix behind a cache must not change once
     it has been solved.
     """
-    return _memoized(cache, (shift, count, tol, seed),
-                     lambda: eig_targeted(a, shift, count, tol=tol, seed=seed))
+    key = _solve_key(a, shift, count, tol, seed)
+    return _memoized(cache, key, lambda: eig_targeted(a, shift, key[1], tol=tol, seed=seed))
+
+
+def _solve_key(a: MatrixLike, shift: complex, count: int, tol: float, seed: int) -> tuple:
+    """The cache key of a solve of ``a``: ``count`` is clipped to its dimension."""
+    return shift, min(count, a.shape[0]), tol, seed
 
 
 def _memoized(cache: Optional[Dict[tuple, EigResult]], key: tuple, solve) -> EigResult:
@@ -384,16 +390,16 @@ def eig_null(
 ) -> EigResult:
     """Eigenpairs of ``a`` nearest zero, enough to read and check its null vector.
 
-    A result of :func:`eig_solve` for ``(shift, count, tol, seed)`` in
-    ``cache`` is returned as is, so a null vector read after a spectrum of
-    the same matrix costs no solve.  Up to :data:`TARGETED_DENSE_FALLBACK`
-    that solve is made, densely.  Otherwise two Ritz pairs come from
-    :func:`_inverse_iteration`, cached under a key of their own, whose
-    factorization errors are those of :func:`eig_targeted`; a capped
-    iteration raises :class:`EigenConvergenceError` with the Ritz values.
+    A result of :func:`eig_solve` with the same arguments in ``cache`` is
+    returned as is, so a null vector read after a spectrum of the same matrix
+    costs no solve.  Up to :data:`TARGETED_DENSE_FALLBACK` that solve is made,
+    densely.  Otherwise two Ritz pairs come from :func:`_inverse_iteration`,
+    cached under a key of their own, whose factorization errors are those of
+    :func:`eig_targeted`; a capped iteration raises
+    :class:`EigenConvergenceError` with the Ritz values.
     """
     if a.shape[0] <= TARGETED_DENSE_FALLBACK or (
-            cache is not None and (shift, count, tol, seed) in cache):
+            cache is not None and _solve_key(a, shift, count, tol, seed) in cache):
         return eig_solve(a, shift, count, tol=tol, seed=seed, cache=cache)
     return _memoized(cache, ("null", shift, tol, seed),
                      lambda: _inverse_iteration(a, shift, tol, seed))

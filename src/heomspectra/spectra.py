@@ -20,8 +20,9 @@ from .errors import (
     MatrixValidationError,
     SizeBudgetError,
 )
-from .linalg import DENSE_EIG_LIMIT, _nearest_order, as_dense, eig_dense, eig_null, eig_solve
-from .symmetry import SectorDecomposition, decompose, leading_order
+from .linalg import DENSE_EIG_LIMIT, _nearest_order, as_dense, eig_dense, eig_null
+from .symmetry import (SectorDecomposition, _ordered_solve, decompose, leading_order,
+                       sector_leading_eigs)
 
 #: An eigenvalue is considered degenerate with the steady state below this.
 ZERO_MULTIPLICITY_TOL = 1e-9
@@ -61,56 +62,37 @@ class SpectralResult:
         return self.state(i).physical()
 
 
-def _resolve(target: Target, charge: int):
-    """Return (matrix, embed, liouvillian, solve cache) for a generator or one of its sectors."""
-    if isinstance(target, SectorDecomposition):
-        matrix = target.sector(charge)
-        return (matrix, (lambda v: target.embed(charge, v)), target.liouvillian,
-                target._eig_cache.setdefault(charge, {}))
-    if isinstance(target, HeomLiouvillian):
-        return target.matrix, (lambda v: v), target, target._eig_cache
-    raise MatrixValidationError(f"cannot analyze object of type {type(target)!r}")
-
-
 def spectrum(
     target: Target,
     charge: Optional[int] = 0,
-    count: Optional[int] = None,
+    count: int = 6,
     tol: float = 1e-10,
     seed: int = 0,
     shift: complex = 0.0,
 ) -> SpectralResult:
     """Ordered spectrum of a generator or one of its symmetry sectors.
 
-    ``count=None`` computes the full dense spectrum (dimension permitting);
-    otherwise the ``count`` eigenvalues nearest ``shift`` are computed with
-    the targeted solver, cached on ``target``, and ordered.  ``charge=None``
-    with a decomposition and a ``count`` gives the ``count`` nearest over all
+    The ``count`` eigenvalues nearest ``shift``, at most the dimension of the
+    solved matrix (:func:`linalg.eig_solve`), in :func:`leading_order`.  Those
+    of a decomposition's sector come from :func:`sector_leading_eigs`, those
+    of a generator (whose ``charge`` is ignored) from the same ordered solve
+    on its own cache; the vectors are embedded into full-space coordinates.
+    ``charge=None`` with a decomposition gives the ``count`` nearest over all
     its sectors, read from the sector solves without a solve of the full
     generator.
     """
     if charge is None:
         return _spectrum_over_sectors(target, count, tol, seed, shift)
-    matrix, embed, liouv, cache = _resolve(target, charge)
-    n = matrix.shape[0]
-    if count is None:
-        if n > DENSE_EIG_LIMIT:
-            raise SizeBudgetError(
-                f"full spectrum of dimension {n} exceeds the dense limit"
-            )
-        res = eig_dense(matrix.toarray() if hasattr(matrix, "toarray") else matrix)
+    if isinstance(target, SectorDecomposition):
+        res = sector_leading_eigs(target, charge, count, tol=tol, seed=seed, shift=shift)
+        vectors, liouv = target.embed(charge, res.right_vectors), target.liouvillian
+    elif isinstance(target, HeomLiouvillian):
+        res = _ordered_solve(target.matrix, target._eig_cache, count, tol, seed, shift)
+        vectors, liouv = res.right_vectors, target
     else:
-        res = eig_solve(matrix, shift, min(count, n), tol=tol, seed=seed, cache=cache)
-    order = leading_order(res.eigenvalues)
-    values = res.eigenvalues[order]
-    vectors = res.right_vectors[:, order]
-    full_vectors = np.column_stack([embed(vectors[:, i]) for i in range(vectors.shape[1])])
-    return SpectralResult(
-        eigenvalues=values,
-        vectors=full_vectors,
-        liouvillian=liouv,
-        residual_norms=res.residual_norms[order],
-    )
+        raise MatrixValidationError(f"cannot analyze object of type {type(target)!r}")
+    return SpectralResult(eigenvalues=res.eigenvalues, vectors=vectors, liouvillian=liouv,
+                          residual_norms=res.residual_norms)
 
 
 def _spectrum_over_sectors(
@@ -118,20 +100,17 @@ def _spectrum_over_sectors(
 ) -> SpectralResult:
     """The ``count`` eigenvalues nearest ``shift`` over all sectors of ``decomp``.
 
-    Each sector is solved on its own cache under the key of
-    ``spectrum(decomp, charge, count)``, so the solves are shared with
-    :func:`sector_leading_eigs`, :func:`steady_state` and ``ssb_pair`` on the
-    same ``decomp``.  The nearest are kept by the rule of ``eig_targeted``,
-    which in exact arithmetic is the set a solve of the full generator
-    returns; only their vectors are embedded.
+    Each sector is read through :func:`sector_leading_eigs`, so the solves
+    are shared with ``spectrum(decomp, charge, count)``, :func:`steady_state`
+    and ``ssb_pair`` on the same ``decomp``.  The nearest are kept by the
+    rule of ``eig_targeted``, which in exact arithmetic is the set a solve of
+    the full generator returns; only their vectors are embedded.
     """
-    if not isinstance(decomp, SectorDecomposition) or count is None:
-        raise MatrixValidationError("charge=None needs a SectorDecomposition and a count")
+    if not isinstance(decomp, SectorDecomposition):
+        raise MatrixValidationError("charge=None needs a SectorDecomposition")
     solves = []
     for charge in decomp.charges_present():
-        matrix, _, _, cache = _resolve(decomp, charge)
-        res = eig_solve(matrix, shift, min(count, matrix.shape[0]), tol=tol, seed=seed,
-                        cache=cache)
+        res = sector_leading_eigs(decomp, charge, count, tol=tol, seed=seed, shift=shift)
         solves += [(charge, res, i) for i in range(res.eigenvalues.size)]
     values = np.array([res.eigenvalues[i] for _, res, i in solves])
     keep = _nearest_order(values, shift)[:count]
@@ -191,13 +170,12 @@ def _null_vector(matrix, count: int, tol: float, seed: int, shift: complex, cach
     """The null vector of ``matrix``: the steady-state rule of both pictures.
 
     The eigenpairs nearest zero come from :func:`linalg.eig_null`: the cached
-    solve of ``spectrum`` for ``min(max(count, 2), n)`` eigenpairs when there
-    is one, otherwise inverse iteration, cached in ``cache`` as well.  No
-    eigenvalue within :data:`ZERO_MULTIPLICITY_TOL` of zero raises
+    solve of ``spectrum`` for ``max(count, 2)`` eigenpairs when there is one,
+    otherwise inverse iteration, cached in ``cache`` as well.  No eigenvalue
+    within :data:`ZERO_MULTIPLICITY_TOL` of zero raises
     :class:`ExtractionError`, more than one :class:`DegenerateSteadyStateError`.
     """
-    res = eig_null(matrix, shift, min(max(count, 2), matrix.shape[0]), tol=tol,
-                   seed=seed, cache=cache)
+    res = eig_null(matrix, shift, max(count, 2), tol=tol, seed=seed, cache=cache)
     values = res.eigenvalues
     near_zero = np.flatnonzero(np.abs(values) < ZERO_MULTIPLICITY_TOL)
     if near_zero.size == 0:
@@ -232,8 +210,15 @@ def steady_state(
     """
     if isinstance(target, HeomLiouvillian) and target.model.symmetry is not None:
         target, charge = decompose(target), 0
-    matrix, embed, liouv, cache = _resolve(target, charge)
-    vector = embed(_null_vector(matrix, count, tol, seed, shift, cache))
+    if isinstance(target, SectorDecomposition):
+        liouv = target.liouvillian
+        vector = target.embed(charge, _null_vector(target.sector(charge), count, tol, seed, shift,
+                                                   target._eig_cache.setdefault(charge, {})))
+    elif isinstance(target, HeomLiouvillian):
+        liouv = target
+        vector = _null_vector(target.matrix, count, tol, seed, shift, target._eig_cache)
+    else:
+        raise MatrixValidationError(f"cannot analyze object of type {type(target)!r}")
     state = HeomState(vector, liouv.hierarchy, liouv.d_s)
     physical, factor = canonical_physical_state(state.physical())
     return physical, HeomState(vector / factor, liouv.hierarchy, liouv.d_s)
@@ -250,11 +235,12 @@ def gap(
 ) -> complex:
     """First eigenvalue beyond the stationary one, in the canonical ordering.
 
-    Eigenvalues degenerate with the leading one (within ``isolation_tol``)
-    are skipped, so for a generator with an exactly degenerate null space the
-    gap is the first genuinely decaying eigenvalue.  ``charge=None`` on a
-    decomposition reads the gap over all sectors from the sector solves, as
-    :func:`spectrum` does, without a solve of the full generator.
+    It is read from the ``max(count, 2)`` eigenvalues of :func:`spectrum`
+    with the same arguments.  Eigenvalues degenerate with the leading one
+    (within ``isolation_tol``) are skipped, so for a generator with an
+    exactly degenerate null space the gap is the first genuinely decaying
+    eigenvalue.  ``charge=None`` on a decomposition reads the gap over all
+    sectors from the sector solves, without a solve of the full generator.
     """
     result = spectrum(target, charge=charge, count=max(count, 2), tol=tol, seed=seed,
                       shift=shift)
@@ -331,7 +317,8 @@ def check_properties(
 ) -> PropertyReport:
     """Check the structural spectral properties of an assembled generator.
 
-    ``mode='full'`` diagonalizes densely (dimension permitting);
+    ``mode='full'`` diagonalizes densely with :func:`linalg.eig_dense`
+    (dimension permitting);
     ``mode='sampled'`` checks the trace covector exactly but evaluates the
     eigenvalue-based properties on the ``count`` eigenvalues nearest
     ``shift``.
@@ -347,23 +334,22 @@ def check_properties(
             raise SizeBudgetError(
                 f"full property check needs a dense-solvable dimension, got {liouvillian.dim}"
             )
-        result = spectrum(liouvillian, count=None)
-        label = "full"
+        # The residuals below do not depend on the order of the eigenvalues.
+        res = eig_dense(liouvillian.matrix)
+        values, vectors = res.eigenvalues, res.right_vectors
     else:
-        result = spectrum(liouvillian, count=min(count, liouvillian.dim), tol=tol, seed=seed,
-                          shift=shift)
-        label = "sampled"
+        res = spectrum(liouvillian, count=count, tol=tol, seed=seed, shift=shift)
+        values, vectors = res.eigenvalues, res.vectors
 
-    values = result.eigenvalues
     report.residuals["conjugate_pairing"] = _conjugate_pairing_distance(values)
     report.residuals["zero_eigenvalue"] = float(np.abs(values).min())
     report.residuals["max_real_part"] = float(values.real.max())
     w = liouvillian.trace_covector()
-    traces = np.abs(np.conj(w) @ result.vectors)
+    traces = np.abs(np.conj(w) @ vectors)
     decaying = np.abs(values.real) > DECAYING_RE_TOL
     report.residuals["decaying_trace"] = (
         float(traces[decaying].max()) if decaying.any() else 0.0
     )
     for key in ("conjugate_pairing", "zero_eigenvalue", "max_real_part", "decaying_trace"):
-        report.checked[key] = label
+        report.checked[key] = mode
     return report

@@ -74,7 +74,6 @@ class SectorDecomposition:
     sectors: Dict[int, np.ndarray]
     matrices: Dict[int, "np.ndarray"]
     off_sector_residual: float
-    steady_sector_residual: float
     _eig_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def charges_present(self) -> List[int]:
@@ -89,8 +88,8 @@ class SectorDecomposition:
         return self.matrices[charge]
 
     def embed(self, charge: int, local: np.ndarray) -> np.ndarray:
-        """Scatter a sector-local vector back into full-space coordinates."""
-        full = np.zeros(self.liouvillian.dim, dtype=complex)
+        """Scatter sector-local vectors (a vector or columns) into full-space coordinates."""
+        full = np.zeros((self.liouvillian.dim,) + np.shape(local)[1:], dtype=complex)
         full[self.sectors[charge]] = local
         return full
 
@@ -172,12 +171,6 @@ def decompose(liouvillian: "HeomLiouvillian", spec: SymmetrySpec | None = None) 
 
     if 0 not in sectors:
         raise SymmetryViolationError(0.0, 0, 0, 0, 0)
-    # The physical trace covector lives entirely in the charge-0 sector, so a
-    # left-null residual there certifies that sector hosts the 0 eigenvalue.
-    trace_vec = liouvillian.trace_covector()[sectors[0]]
-    steady_residual = float(
-        np.linalg.norm(matrices[0].T @ np.conj(trace_vec))
-    )
     return SectorDecomposition(
         liouvillian=liouvillian,
         spec=spec,
@@ -185,7 +178,6 @@ def decompose(liouvillian: "HeomLiouvillian", spec: SymmetrySpec | None = None) 
         sectors=sectors,
         matrices=matrices,
         off_sector_residual=off_residual,
-        steady_sector_residual=steady_residual,
     )
 
 
@@ -209,11 +201,18 @@ def sector_leading_eigs(
 ) -> EigResult:
     """The ``count`` eigenvalues of one sector nearest ``shift``, gap-ordered.
 
-    Ordering is ascending ``|Re|`` with ties broken by ascending ``|Im|`` and
-    then by the sign of the imaginary part (non-negative first).
+    The one ordered targeted solve of a sector: :func:`linalg.eig_solve` on
+    the sector's cache, so at most the sector's dimension of values, then
+    :func:`leading_order`.
     """
-    res = eig_solve(decomp.sector(charge), shift, count, tol=tol, seed=seed,
-                    cache=decomp._eig_cache.setdefault(charge, {}))
+    return _ordered_solve(decomp.sector(charge), decomp._eig_cache.setdefault(charge, {}),
+                          count, tol, seed, shift)
+
+
+def _ordered_solve(matrix, cache: dict, count: int, tol: float, seed: int,
+                   shift: complex) -> EigResult:
+    """:func:`linalg.eig_solve` of ``matrix`` on ``cache``, in :func:`leading_order`."""
+    res = eig_solve(matrix, shift, count, tol=tol, seed=seed, cache=cache)
     order = leading_order(res.eigenvalues)
     return EigResult(
         eigenvalues=res.eigenvalues[order],

@@ -10,7 +10,7 @@ import pytest
 from heomspectra import __version__, cli, convergence, linalg
 from heomspectra.builder import assemble
 from heomspectra.cli import build_model, execute_point, main, parse_config, resolve_observables, run
-from heomspectra.errors import ConfigError
+from heomspectra.errors import ConfigError, MatrixValidationError
 from heomspectra.linalg import write_triplets
 from heomspectra.operators import qubit_operators
 
@@ -513,6 +513,15 @@ def test_empty_observables_allowed_without_a_scan(tmp_path):
     config = parse_config(write_config(tmp_path, observables=[], analyses=["gap"]))
     assert config.observables == []
     assert run(config) == 0
+
+
+def test_ssb_count_above_the_sector_dimension(tmp_path):
+    # lmg N=1 at k_max 0: both parity sectors have dimension 2, below the count 6,
+    # and the broken sector's leading eigenvector has a null physical block
+    config = parse_config(write_config(tmp_path, N=[1], k_max=0, analyses=["ssb"],
+                                       sweep={"parameter": "g", "grid": [-3.0]}))
+    with pytest.raises(MatrixValidationError, match="null matrix"):
+        execute_point(config, 0, 1, -3.0)
 
 
 def test_lmg_point_decomposes_by_parity(tmp_path):

@@ -183,6 +183,13 @@ class TestSsbPair:
         with pytest.raises(RealnessGateError):
             ssb_pair(decomp, model.params["omega"])
 
+    @pytest.mark.parametrize("count", [4, 10])
+    def test_count_above_the_sector_dimension_is_clipped(self, count):
+        decomp = decompose(assemble(z2_lmg(2, -1.45, 0.5, 1.0, 1.0, 0.5), 0))
+        assert decomp.dimension(1) == 4
+        with pytest.raises(RealnessGateError):
+            ssb_pair(decomp, 1.0, count=count)
+
     def test_requires_order_two(self):
         from heomspectra.models import two_mode_dicke
 

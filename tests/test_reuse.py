@@ -12,7 +12,7 @@ import scipy.sparse as sp
 from heomspectra.builder import HeomLiouvillian, assemble
 from heomspectra.dpt import ssb_pair
 from heomspectra.embedding import EmbeddingSpec, steady_state_lm
-from heomspectra.errors import SingularShiftError
+from heomspectra.errors import DegenerateSteadyStateError, RealnessGateError, SingularShiftError
 from heomspectra.linalg import eig_targeted
 from heomspectra.models import lmg, z2_lmg
 from heomspectra.spectra import distinct_from_leading, gap, spectrum, steady_state
@@ -105,6 +105,26 @@ class TestSharedSolves:
         steady_state_lm(spec)
         steady_state_lm(spec)
         assert len(refined_calls) == 2
+
+
+class TestCountAboveDimension:
+    """A count above a sector's dimension is clipped where the cache key is formed."""
+
+    def test_every_reader_shares_one_solve_per_sector(self, eig_calls):
+        decomp = decompose(assemble(z2_lmg(2, -1.45, 0.5, 1.0, 1.0, 0.5), 0))
+        dims = {charge: decomp.dimension(charge) for charge in decomp.charges_present()}
+        assert dims == {0: 5, 1: 4}
+        for charge, dim in dims.items():
+            assert spectrum(decomp, charge, count=10).eigenvalues.size == dim
+            assert sector_leading_eigs(decomp, charge, count=10).eigenvalues.size == dim
+        assert spectrum(decomp, charge=None, count=10).eigenvalues.size == sum(dims.values())
+        with pytest.raises(RealnessGateError):
+            ssb_pair(decomp, 1.0, count=10)
+        with pytest.raises(DegenerateSteadyStateError):  # unitary at k_max 0
+            steady_state(decomp, count=10)
+        assert [call[1] for call in eig_calls] == [5, 4]
+        for charge, dim in dims.items():
+            assert list(decomp._eig_cache[charge]) == [(0.0, dim, 1e-10, 0)]
 
 
 class TestNoAliasing:

@@ -188,12 +188,11 @@ class TestSpectrumOverSectors:
         assert residuals.max() <= 1e-10
         assert gap(decompose(liouv), charge=None) == pytest.approx(gap(liouv), abs=1e-10)
 
-    def test_needs_a_decomposition_and_a_count(self):
+    def test_needs_a_decomposition(self):
         liouv = assemble(lmg(2, 0.3, 1.0, 1.0, 1.0), 2)
         with pytest.raises(MatrixValidationError):
             spectrum(liouv, charge=None, count=6)
-        with pytest.raises(MatrixValidationError):
-            spectrum(decompose(liouv), charge=None)
+        assert spectrum(decompose(liouv), charge=None).eigenvalues.size == 6  # count defaults to 6
 
 
 class TestExpectation:

@@ -84,7 +84,9 @@ class TestDecompose:
         merged = np.sort(np.concatenate([decomp.sectors[0], decomp.sectors[1]]))
         assert np.array_equal(merged, np.arange(liouv.dim))
         assert decomp.off_sector_residual <= 1e-12
-        assert decomp.steady_sector_residual <= 1e-12
+        # the trace covector is a left null vector of sector 0
+        trace_vec = liouv.trace_covector()[decomp.sectors[0]]
+        assert np.linalg.norm(decomp.sector(0).T @ np.conj(trace_vec)) <= 1e-12
 
     @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (4, 3)])
     def test_block_diagonality_presets(self, n, k):
