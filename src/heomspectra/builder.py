@@ -61,6 +61,10 @@ class HeomLiouvillian:
         w[: self.d_s * self.d_s] = vectorize(np.eye(self.d_s))
         return w
 
+    def involution(self) -> np.ndarray:
+        """The basis permutation of the adjoint involution, :func:`adjoint_permutation`."""
+        return adjoint_permutation(self.hierarchy, self.d_s)
+
     def trace_residual(self) -> float:
         """Norm of the physical-trace covector acting from the left."""
         w = self.trace_covector()
@@ -261,20 +265,31 @@ def propagate(
     ]
 
 
+def adjoint_permutation(hierarchy: HierarchySpace, d_s: int) -> np.ndarray:
+    """The basis permutation ``P`` of the adjoint involution ``J v = conj(v[P])``.
+
+    Block rank ``r`` goes to the rank of its swapped index and entry
+    ``(i, j)`` to ``(j, i)``.  ``P`` is its own inverse.  The swapped indices
+    are the retained set again, so sorting them lexicographically, as the
+    ranks are, orders them by the rank they are swapped to, and that order is
+    the swap itself.
+    """
+    indices = np.asarray(hierarchy.indices, dtype=np.int64).reshape(len(hierarchy), -1)
+    swapped = np.roll(indices, hierarchy.n_modes, axis=1)
+    swap = np.lexsort(swapped[:, ::-1].T)
+    entries = np.arange(d_s)
+    return (swap[:, None, None] * (d_s * d_s) + entries[None, None, :] * d_s
+            + entries[None, :, None]).ravel()
+
+
 def adjoint_state(state: HeomState) -> HeomState:
     """Swap the ``(n, m)`` and ``(m, n)`` blocks and conjugate-transpose each.
 
     The generator commutes with this involution, which is what makes its
     spectrum symmetric about the real axis.
     """
-    space = state.hierarchy
-    out = np.empty_like(state.vector)
-    d2 = state.d_s * state.d_s
-    for rank, index in enumerate(space.indices):
-        target = space.rank(space.swapped(index))
-        block = state.block_by_rank(rank).conj().T
-        out[target * d2 : (target + 1) * d2] = block.ravel()
-    return HeomState(out, space, state.d_s)
+    return HeomState(np.conj(state.vector[adjoint_permutation(state.hierarchy, state.d_s)]),
+                     state.hierarchy, state.d_s)
 
 
 def export_matrix(liouvillian: HeomLiouvillian, path) -> None:

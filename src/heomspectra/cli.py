@@ -411,7 +411,8 @@ def _resolve_k_max(point: _Point) -> int:
 
 def _rows_steady(point: _Point):
     # steady_state solves a symmetric model in charge 0; passing the point's
-    # decomposition shares it with the sectors analyses.
+    # decomposition shares it with the sectors analyses.  A full solve of the
+    # generator, which the gap analysis makes for a U(1) model, is read instead.
     target = point.decomp if point.model.symmetry is not None else point.liouv
     state, _ = steady_state(target, **point.solver())
     rows = []

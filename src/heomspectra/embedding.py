@@ -201,12 +201,21 @@ def steady_state_lm(
     with the same solver options.  When the model declares a symmetry only
     the charge-0 block of the generator is solved: it holds the trace, and
     so the steady state.  A declared symmetry that does not block-diagonalize
-    the generator raises :class:`SymmetryViolationError`.
+    the generator raises :class:`SymmetryViolationError`.  The generator
+    commutes with ``rho -> rho^dagger``, which transposes the row-major basis
+    and maps charge 0 onto itself, so the solve runs in real arithmetic as in
+    the hierarchy picture.
     """
     lm = build_lm(spec) if matrix is None else matrix
-    members = None if spec.model.symmetry is None else _charge0_members(spec, lm)
-    block = lm if members is None else lm[members, :][:, members]
-    vector = null = _null_vector(block, count, tol, seed, shift)
+    dim = spec.hilbert_dim
+    adjoint = np.arange(dim * dim).reshape(dim, dim).T.ravel()
+    if spec.model.symmetry is None:
+        members, block, involution = None, lm, adjoint
+    else:
+        members = _charge0_members(spec, lm)
+        block = lm[members, :][:, members]
+        involution = np.searchsorted(members, adjoint[members])
+    vector = null = _null_vector(block, count, tol, seed, shift, involution=involution)
     if members is not None:
         vector = np.zeros(lm.shape[0], dtype=complex)
         vector[members] = null

@@ -45,17 +45,25 @@ class StiffnessError(RuntimeError):
 
 
 class SymmetryViolationError(RuntimeError):
-    """The generator has matrix elements connecting different charge sectors."""
+    """The generator breaks a symmetry it is declared or assumed to have.
 
-    def __init__(self, magnitude, row, col, row_charge, col_charge):
+    With charges, an entry connects different charge sectors.  Without, the
+    real form of a matrix under the adjoint involution has an imaginary
+    entry, so the matrix does not commute with that involution.
+    """
+
+    def __init__(self, magnitude, row, col, row_charge=None, col_charge=None):
         self.magnitude = magnitude
         self.position = (row, col)
         self.charges = (row_charge, col_charge)
-        super().__init__(
-            f"off-sector entry of magnitude {magnitude:.3e} at ({row}, {col}) "
-            f"connecting charges {row_charge} and {col_charge}; the declared "
-            f"charge assignment is inconsistent with the generator"
-        )
+        if row_charge is None:
+            detail = (f"imaginary part of magnitude {magnitude:.3e} at ({row}, {col}) of "
+                      "the real form; the matrix does not commute with the adjoint involution")
+        else:
+            detail = (f"off-sector entry of magnitude {magnitude:.3e} at ({row}, {col}) "
+                      f"connecting charges {row_charge} and {col_charge}; the declared "
+                      f"charge assignment is inconsistent with the generator")
+        super().__init__(detail)
 
 
 class DegenerateSteadyStateError(RuntimeError):

@@ -234,13 +234,19 @@ def custom(
     size: Optional[int] = None,
     symmetry: Optional[SymmetrySpec] = None,
 ) -> ModelInstance:
-    """User-defined model; rejects non-Hermitian Hamiltonians and dim mismatches."""
+    """User-defined model; rejects non-Hermitian Hamiltonians and dim mismatches.
+
+    A Hamiltonian accepted within :data:`CUSTOM_HERMITICITY_TOL` is
+    hermitized, so its generator commutes exactly with the adjoint involution
+    that the solvers' real form relies on.
+    """
     h = as_dense(hamiltonian)
     defect = float(np.abs(h - h.conj().T).max()) if h.size else 0.0
     if defect > CUSTOM_HERMITICITY_TOL:
         raise MatrixValidationError(
             f"Hamiltonian is not Hermitian (defect {defect:.3e})"
         )
+    h = (h + h.conj().T) / 2
     baths = tuple(baths)
     if not baths:
         raise MatrixValidationError("at least one bath is required")

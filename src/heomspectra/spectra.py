@@ -20,7 +20,7 @@ from .errors import (
     MatrixValidationError,
     SizeBudgetError,
 )
-from .linalg import DENSE_EIG_LIMIT, _nearest_order, as_dense, eig_dense, eig_null
+from .linalg import DENSE_EIG_LIMIT, _nearest_order, _solve_key, as_dense, eig_dense, eig_null
 from .symmetry import (SectorDecomposition, _ordered_solve, decompose, leading_order,
                        sector_leading_eigs)
 
@@ -76,7 +76,8 @@ def spectrum(
     solved matrix (:func:`linalg.eig_solve`), in :func:`leading_order`.  Those
     of a decomposition's sector come from :func:`sector_leading_eigs`, those
     of a generator (whose ``charge`` is ignored) from the same ordered solve
-    on its own cache; the vectors are embedded into full-space coordinates.
+    on its own cache and with its adjoint involution; the vectors are
+    embedded into full-space coordinates.
     ``charge=None`` with a decomposition gives the ``count`` nearest over all
     its sectors, read from the sector solves without a solve of the full
     generator.
@@ -87,7 +88,8 @@ def spectrum(
         res = sector_leading_eigs(target, charge, count, tol=tol, seed=seed, shift=shift)
         vectors, liouv = target.embed(charge, res.right_vectors), target.liouvillian
     elif isinstance(target, HeomLiouvillian):
-        res = _ordered_solve(target.matrix, target._eig_cache, count, tol, seed, shift)
+        res = _ordered_solve(target.matrix, target._eig_cache, count, tol, seed, shift,
+                             target.involution())
         vectors, liouv = res.right_vectors, target
     else:
         raise MatrixValidationError(f"cannot analyze object of type {type(target)!r}")
@@ -166,24 +168,32 @@ def canonical_physical_state(block: np.ndarray) -> Tuple[PhysicalState, complex]
     return state, trace * correction
 
 
-def _null_vector(matrix, count: int, tol: float, seed: int, shift: complex, cache=None):
+def _null_vector(matrix, count: int, tol: float, seed: int, shift: complex, cache=None,
+                 involution=None):
     """The null vector of ``matrix``: the steady-state rule of both pictures.
 
-    The eigenpairs nearest zero come from :func:`linalg.eig_null`: the cached
-    solve of ``spectrum`` for ``max(count, 2)`` eigenpairs when there is one,
-    otherwise inverse iteration, cached in ``cache`` as well.  No eigenvalue
-    within :data:`ZERO_MULTIPLICITY_TOL` of zero raises
-    :class:`ExtractionError`, more than one :class:`DegenerateSteadyStateError`.
+    The eigenpairs nearest zero come from :func:`linalg.eig_null`, with
+    ``involution``: the cached solve of ``spectrum`` for ``max(count, 2)``
+    eigenpairs when there is one, otherwise inverse iteration, cached in
+    ``cache`` as well.  No eigenvalue within :data:`ZERO_MULTIPLICITY_TOL`
+    of zero raises :class:`ExtractionError`, more than one
+    :class:`DegenerateSteadyStateError`.
     """
-    res = eig_null(matrix, shift, max(count, 2), tol=tol, seed=seed, cache=cache)
+    res = eig_null(matrix, shift, max(count, 2), tol=tol, seed=seed, cache=cache,
+                   involution=involution)
     values = res.eigenvalues
-    near_zero = np.flatnonzero(np.abs(values) < ZERO_MULTIPLICITY_TOL)
+    near_zero = _near_zero(values)
     if near_zero.size == 0:
         raise ExtractionError(f"no eigenvalue within {ZERO_MULTIPLICITY_TOL:.1e} of zero; "
                               f"closest: {values[np.argmin(np.abs(values))]}")
     if near_zero.size > 1:
         raise DegenerateSteadyStateError(values[near_zero].tolist())
     return res.right_vectors[:, near_zero[0]]
+
+
+def _near_zero(values: np.ndarray) -> np.ndarray:
+    """Positions of the eigenvalues within :data:`ZERO_MULTIPLICITY_TOL` of zero."""
+    return np.flatnonzero(np.abs(values) < ZERO_MULTIPLICITY_TOL)
 
 
 def steady_state(
@@ -207,18 +217,26 @@ def steady_state(
     eigenvalue of the solved matrix must be simple within
     :data:`ZERO_MULTIPLICITY_TOL`; a degenerate null space raises
     :class:`DegenerateSteadyStateError` listing the near-zero eigenvalues.
+
+    Charge 0 of a generator or decomposition is read without a solve from a
+    ``spectrum`` of the full generator with the same arguments, cached on
+    it, whose zero eigenvalue is simple: its null vector lies in charge 0.
     """
-    if isinstance(target, HeomLiouvillian) and target.model.symmetry is not None:
+    liouv = target.liouvillian if isinstance(target, SectorDecomposition) else target
+    if not isinstance(liouv, HeomLiouvillian):
+        raise MatrixValidationError(f"cannot analyze object of type {type(target)!r}")
+    full = liouv._eig_cache.get(_solve_key(liouv.matrix, shift, max(count, 2), tol, seed))
+    if full is not None and charge == 0 and _near_zero(full.eigenvalues).size == 1:
+        target = liouv
+    elif isinstance(target, HeomLiouvillian) and target.model.symmetry is not None:
         target, charge = decompose(target), 0
     if isinstance(target, SectorDecomposition):
-        liouv = target.liouvillian
         vector = target.embed(charge, _null_vector(target.sector(charge), count, tol, seed, shift,
-                                                   target._eig_cache.setdefault(charge, {})))
-    elif isinstance(target, HeomLiouvillian):
-        liouv = target
-        vector = _null_vector(target.matrix, count, tol, seed, shift, target._eig_cache)
+                                                   target._eig_cache.setdefault(charge, {}),
+                                                   target.involutions.get(charge)))
     else:
-        raise MatrixValidationError(f"cannot analyze object of type {type(target)!r}")
+        vector = _null_vector(liouv.matrix, count, tol, seed, shift, liouv._eig_cache,
+                              liouv.involution())
     state = HeomState(vector, liouv.hierarchy, liouv.d_s)
     physical, factor = canonical_physical_state(state.physical())
     return physical, HeomState(vector / factor, liouv.hierarchy, liouv.d_s)

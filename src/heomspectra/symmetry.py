@@ -24,13 +24,10 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 import numpy as np
 
 from .errors import MatrixValidationError, SymmetryViolationError
-from .linalg import EigResult, eig_solve
+from .linalg import OFF_SECTOR_TOL, EigResult, eig_solve
 
 if TYPE_CHECKING:  # pragma: no cover
     from .builder import HeomLiouvillian
-
-#: Largest tolerated magnitude of an entry connecting different charges.
-OFF_SECTOR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,9 +60,12 @@ class SectorDecomposition:
 
     ``sectors`` maps each charge to the sorted global basis ranks it owns and
     ``matrices`` holds the corresponding submatrices.  The sector of charge 0
-    contains the physical trace covector and hence the steady state.  Targeted
-    solves of the sectors are cached on the instance, so the matrices must not
-    change after analysis.
+    contains the physical trace covector and hence the steady state.
+    ``involutions`` maps each charge whose sector the adjoint involution maps
+    onto itself (every charge of a Z2, charge 0 of a U(1)) to the involution's
+    permutation of the sector's local basis, with which its solves run in
+    real arithmetic.  Targeted solves of the sectors are cached on the
+    instance, so the matrices must not change after analysis.
     """
 
     liouvillian: "HeomLiouvillian"
@@ -74,6 +74,7 @@ class SectorDecomposition:
     sectors: Dict[int, np.ndarray]
     matrices: Dict[int, "np.ndarray"]
     off_sector_residual: float
+    involutions: Dict[int, np.ndarray]
     _eig_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def charges_present(self) -> List[int]:
@@ -145,7 +146,8 @@ def decompose(liouvillian: "HeomLiouvillian", spec: SymmetrySpec | None = None) 
 
     ``spec`` defaults to the model's declared symmetry.  The charges and the
     block-diagonality check are those of :func:`_sector_charges`, whose
-    errors propagate.
+    errors propagate.  The adjoint involution maps charge ``q`` to ``-q``, so
+    it is restricted to each sector whose charge is its own negative.
     """
     if spec is None:
         spec = liouvillian.model.symmetry
@@ -162,12 +164,16 @@ def decompose(liouvillian: "HeomLiouvillian", spec: SymmetrySpec | None = None) 
     )
 
     csr = liouvillian.matrix.tocsr()
+    swap = liouvillian.involution()
     sectors: Dict[int, np.ndarray] = {}
     matrices = {}
+    involutions = {}
     for charge in np.unique(charges):
         members = np.flatnonzero(charges == charge)
         sectors[int(charge)] = members
         matrices[int(charge)] = csr[members, :][:, members]
+        if spec.reduce(-charge) == charge:
+            involutions[int(charge)] = np.searchsorted(members, swap[members])
 
     if 0 not in sectors:
         raise SymmetryViolationError(0.0, 0, 0, 0, 0)
@@ -178,6 +184,7 @@ def decompose(liouvillian: "HeomLiouvillian", spec: SymmetrySpec | None = None) 
         sectors=sectors,
         matrices=matrices,
         off_sector_residual=off_residual,
+        involutions=involutions,
     )
 
 
@@ -202,17 +209,18 @@ def sector_leading_eigs(
     """The ``count`` eigenvalues of one sector nearest ``shift``, gap-ordered.
 
     The one ordered targeted solve of a sector: :func:`linalg.eig_solve` on
-    the sector's cache, so at most the sector's dimension of values, then
-    :func:`leading_order`.
+    the sector's cache and with its involution, so at most the sector's
+    dimension of values, then :func:`leading_order`.
     """
     return _ordered_solve(decomp.sector(charge), decomp._eig_cache.setdefault(charge, {}),
-                          count, tol, seed, shift)
+                          count, tol, seed, shift, decomp.involutions.get(charge))
 
 
 def _ordered_solve(matrix, cache: dict, count: int, tol: float, seed: int,
-                   shift: complex) -> EigResult:
+                   shift: complex, involution) -> EigResult:
     """:func:`linalg.eig_solve` of ``matrix`` on ``cache``, in :func:`leading_order`."""
-    res = eig_solve(matrix, shift, count, tol=tol, seed=seed, cache=cache)
+    res = eig_solve(matrix, shift, count, tol=tol, seed=seed, cache=cache,
+                    involution=involution)
     order = leading_order(res.eigenvalues)
     return EigResult(
         eigenvalues=res.eigenvalues[order],

@@ -11,7 +11,7 @@ from heomspectra.builder import (
 )
 from heomspectra.errors import MatrixValidationError, SizeBudgetError
 from heomspectra.linalg import read_triplets
-from heomspectra.models import BathSpec, BathTerm, custom
+from heomspectra.models import BathSpec, BathTerm, custom, two_mode_dicke
 from heomspectra.operators import qubit_operators
 
 from conftest import make_qubit_decay, multiset_distance
@@ -174,6 +174,18 @@ class TestAssembleStructure:
         ).vector
         rhs = liouv.matrix @ adjoint_state(state).vector
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(lhs).max())
+
+    def test_adjoint_permutation_swaps_and_transposes_blocks(self, rng):
+        liouv = assemble(two_mode_dicke(2, 1.5, 1.0, 5.0, 5.0), 3)
+        perm = liouv.involution()
+        assert np.array_equal(perm[perm], np.arange(liouv.dim))
+        x = rng.standard_normal(liouv.dim) + 1j * rng.standard_normal(liouv.dim)
+        state = HeomState(x, liouv.hierarchy, liouv.d_s)
+        image = adjoint_state(state)
+        space = liouv.hierarchy
+        for index in space.indices:
+            n, m = index[: space.n_modes], index[space.n_modes :]
+            assert np.array_equal(image.block(m, n), state.block(n, m).conj().T)
 
     def test_spectrum_conjugation_symmetric(self, rng):
         model = random_qubit_model(rng)

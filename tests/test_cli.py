@@ -267,6 +267,24 @@ class TestSolverOptions:
         execute_point(config, 0, 2, 1.0)
         assert dims == [assemble(build_model(config, 2, 1.0), 2).dim]
 
+    def test_u1_steady_state_reads_the_full_gap_solve(self, tmp_path, monkeypatch):
+        factorized = []
+        original = linalg._refined_inverse
+
+        def spy(a, sigma):
+            factorized.append((a.shape[0], a.dtype.kind))
+            return original(a, sigma)
+
+        monkeypatch.setattr(linalg, "_refined_inverse", spy)
+        config = parse_config(write_config(
+            tmp_path, model="two_mode_dicke", params={"omega0": 1.0, "omega": 5.0, "kappa": 5.0},
+            N=[2], k_max=3, sweep={"parameter": "g", "grid": [1.0]},
+            analyses=["steady_state", "gap"]))
+        _, rows = execute_point(config, 0, 2, 1.0)
+        # one real factorization of the full generator, none of charge 0
+        assert factorized == [(assemble(build_model(config, 2, 1.0), 3).dim, "f")]
+        assert {row["analysis"] for row in rows} == {"steady_state", "gap"}
+
     def test_config_shift_reaches_the_solver(self, tmp_path, eig_calls, refined_calls):
         config = parse_config(write_config(tmp_path, **{**SSB_POINT, "solver": {"shift": 0.25}}))
         execute_point(config, 0, 8, -2.9)

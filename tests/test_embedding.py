@@ -197,15 +197,16 @@ class TestChargeZeroEmbedding:
         original = linalg._refined_inverse
 
         def spy(a, sigma):
-            solved.append(a.shape[0])
+            solved.append((a.shape[0], a.dtype.kind))
             return original(a, sigma)
 
-        # the steady-state rule of both pictures factorizes the charge-0 block
+        # the steady-state rule of both pictures factorizes the charge-0 block,
+        # in its real form
         monkeypatch.setattr(linalg, "_refined_inverse", spy)
         spec = EmbeddingSpec(model, cutoffs)
         rho, _ = steady_state_lm(spec)
         charges = element_charges(spec)
-        assert solved == [dim0] == [int(np.sum(charges == 0))]
+        assert solved == [(dim0, "f")] == [(int(np.sum(charges == 0)), "f")]
         full = eig_dense(build_lm(spec))
         null = devectorize(full.right_vectors[:, np.argmin(np.abs(full.eigenvalues))],
                            spec.hilbert_dim)

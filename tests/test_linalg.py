@@ -10,6 +10,7 @@ from heomspectra.errors import (
     MatrixValidationError,
     NotPositiveSemidefiniteError,
     SingularShiftError,
+    SymmetryViolationError,
 )
 from heomspectra.linalg import (
     as_dense,
@@ -26,7 +27,9 @@ from heomspectra.linalg import (
     write_triplets,
 )
 
-from heomspectra.models import lmg
+from heomspectra.models import BathSpec, BathTerm, custom, lmg, two_mode_dicke, z2_lmg
+from heomspectra.operators import qubit_operators
+from heomspectra.symmetry import decompose, sector_leading_eigs
 
 from conftest import multiset_distance, random_hermitian
 
@@ -279,6 +282,96 @@ class TestNullIteration:
             eig_null(a, 0.0, 6, cache=cache)
         assert info.value.suggested_shift != 0.0
         assert refined_calls == [0.0] and cache == {}
+
+
+@pytest.fixture
+def factorized(monkeypatch):
+    """The dtype of every ``linalg._refined_inverse`` factorization."""
+    dtypes = []
+    original = linalg._refined_inverse
+
+    def spy(a, sigma):
+        dtypes.append(a.dtype)
+        return original(a, sigma)
+
+    monkeypatch.setattr(linalg, "_refined_inverse", spy)
+    return dtypes
+
+
+def _decomposition(name):
+    model = {"lmg": lmg(4, 0.3, 1.0, 1.0, 1.0), "z2_lmg": z2_lmg(4, -2.9, 0.5, 1.0, 1.0, 0.5),
+             "two_mode_dicke": two_mode_dicke(2, 1.5, 1.0, 5.0, 5.0)}[name]
+    return decompose(assemble(model, 3))
+
+
+class TestRealForm:
+    """Solves with an adjoint involution run on a real matrix and give ``a``'s eigenpairs."""
+
+    @pytest.mark.parametrize("name, charge", [
+        ("lmg", 0), ("lmg", 1), ("z2_lmg", 0), ("z2_lmg", 1), ("two_mode_dicke", 0),
+        ("lmg", None), ("two_mode_dicke", None),
+    ])
+    def test_matches_the_dense_spectrum(self, name, charge, factorized):
+        decomp = _decomposition(name)
+        if charge is None:
+            matrix, involution = decomp.liouvillian.matrix, decomp.liouvillian.involution()
+        else:
+            matrix, involution = decomp.sector(charge), decomp.involutions[charge]
+        assert matrix.shape[0] > linalg.TARGETED_DENSE_FALLBACK
+        res = eig_targeted(matrix, 0.0, 6, tol=1e-10, involution=involution)
+        assert factorized == [np.float64]
+        dense = np.linalg.eigvals(matrix.toarray())
+        nearest = dense[linalg._nearest_order(dense, 0.0)[:6]]
+        assert multiset_distance(res.eigenvalues, nearest) <= 1e-10
+        assert np.all(res.residual_norms <= 1e-10)
+        assert np.all(np.linalg.norm(matrix @ res.right_vectors - res.right_vectors
+                                     * res.eigenvalues, axis=0) <= 1e-10)
+
+    def test_null_iteration_factorizes_once_in_real_arithmetic(self, factorized):
+        decomp = _decomposition("lmg")
+        res = eig_null(decomp.sector(0), 0.0, 6, involution=decomp.involutions[0])
+        assert factorized == [np.float64]
+        assert abs(res.eigenvalues[0]) <= 1e-10 and res.residual_norms[0] <= 1e-10
+        vector = res.right_vectors[:, 0]
+        assert np.linalg.norm(decomp.sector(0) @ vector) <= 1e-10
+
+    def test_imaginary_part_raises(self, factorized):
+        decomp = _decomposition("lmg")
+        broken = decomp.sector(0).copy()
+        broken.data[0] += 1e-8j
+        with pytest.raises(SymmetryViolationError, match="adjoint involution"):
+            eig_targeted(broken, 0.0, 6, involution=decomp.involutions[0])
+        with pytest.raises(SymmetryViolationError):
+            eig_null(broken, 0.0, 6, involution=decomp.involutions[0])
+        assert factorized == []
+
+    def test_non_real_shift_takes_the_complex_path(self, factorized):
+        decomp = _decomposition("lmg")
+        res = eig_targeted(decomp.sector(0), -0.2 + 0.1j, 4, involution=decomp.involutions[0])
+        assert factorized == [np.complex128]
+        assert np.all(res.residual_norms <= 1e-10)
+
+    def test_u1_charge_other_than_zero_takes_the_complex_path(self, factorized):
+        decomp = _decomposition("two_mode_dicke")
+        assert sorted(decomp.involutions) == [0]
+        assert decomp.dimension(1) > linalg.TARGETED_DENSE_FALLBACK
+        res = sector_leading_eigs(decomp, 1, count=4)
+        assert factorized == [np.complex128]
+        assert np.all(res.residual_norms <= 1e-10)
+
+    def test_nearly_hermitian_custom_hamiltonian_solves(self, factorized):
+        ops = qubit_operators()
+        h = ops["sigma_z"] + 0.3 * ops["sigma_x"] + 5e-11j * np.array([[0, 1], [0, 0]])
+        model = custom(h, [BathSpec(ops["sigma_minus"], (BathTerm(0.2, 0.5, 1.0),))])
+        liouv = assemble(model, 4)
+        res = eig_targeted(liouv.matrix, 0.0, 4, involution=liouv.involution())
+        assert factorized == [np.float64]
+        assert np.all(res.residual_norms <= 1e-10)
+
+    def test_involution_must_be_self_inverse(self):
+        decomp = _decomposition("lmg")
+        with pytest.raises(MatrixValidationError):
+            eig_targeted(decomp.sector(0), 0.0, 6, involution=np.roll(decomp.involutions[0], 1))
 
 
 class TestHermSqrt:
