@@ -21,7 +21,8 @@ deterministic regardless of traversal order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Sequence
 
 import numpy as np
@@ -30,7 +31,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import MatrixValidationError, SizeBudgetError, StiffnessError
 from .hierarchy import HierarchySpace, enumerate_indices
-from .linalg import clean_sparse, devectorize, kron, vectorize, write_triplets
+from .linalg import Solvable, clean_sparse, devectorize, kron, vectorize, write_triplets
 from .models import ModelInstance
 
 #: Largest stacked dimension assemble() will build by default.
@@ -41,7 +42,7 @@ DEFAULT_DIMENSION_BUDGET = 2_000_000
 class HeomLiouvillian:
     """Sparse generator of the full hierarchy dynamics plus its metadata.
 
-    Targeted solves of ``matrix`` are cached on the instance, so the matrix
+    Targeted solves of ``matrix`` are stored in ``solvable``, so the matrix
     must not change after analysis.
     """
 
@@ -49,21 +50,21 @@ class HeomLiouvillian:
     hierarchy: HierarchySpace
     d_s: int
     model: ModelInstance
-    _eig_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def solvable(self) -> Solvable:
+        """``matrix`` with its adjoint involution (:func:`adjoint_permutation`) and solves."""
+        return Solvable(self.matrix, adjoint_permutation(self.hierarchy, self.d_s))
 
     def trace_covector(self) -> np.ndarray:
         """Vector ``w`` with ``w^dag |rho>`` = trace of the physical block."""
         w = np.zeros(self.dim, dtype=complex)
         w[: self.d_s * self.d_s] = vectorize(np.eye(self.d_s))
         return w
-
-    def involution(self) -> np.ndarray:
-        """The basis permutation of the adjoint involution, :func:`adjoint_permutation`."""
-        return adjoint_permutation(self.hierarchy, self.d_s)
 
     def trace_residual(self) -> float:
         """Norm of the physical-trace covector acting from the left."""

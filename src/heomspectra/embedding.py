@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from .builder import HeomState, _integrate
 from .errors import EmbeddingUnsupportedError, MatrixValidationError, SizeBudgetError
 from .hierarchy import count as hierarchy_count
-from .linalg import clean_sparse, devectorize, kron, vectorize
+from .linalg import Solvable, clean_sparse, devectorize, kron, vectorize
 from .models import ModelInstance
 from .spectra import _null_vector, canonical_physical_state
 from .symmetry import _sector_charges
@@ -208,17 +208,13 @@ def steady_state_lm(
     """
     lm = build_lm(spec) if matrix is None else matrix
     dim = spec.hilbert_dim
-    adjoint = np.arange(dim * dim).reshape(dim, dim).T.ravel()
+    solvable = Solvable(lm, np.arange(dim * dim).reshape(dim, dim).T.ravel())
     if spec.model.symmetry is None:
-        members, block, involution = None, lm, adjoint
+        vector = _null_vector(solvable, count, tol, seed, shift)
     else:
         members = _charge0_members(spec, lm)
-        block = lm[members, :][:, members]
-        involution = np.searchsorted(members, adjoint[members])
-    vector = null = _null_vector(block, count, tol, seed, shift, involution=involution)
-    if members is not None:
         vector = np.zeros(lm.shape[0], dtype=complex)
-        vector[members] = null
+        vector[members] = _null_vector(solvable.restrict(members), count, tol, seed, shift)
     state, _ = canonical_physical_state(devectorize(vector, spec.hilbert_dim))
     return state.matrix, reduced_system_state(spec, vectorize(state.matrix))
 

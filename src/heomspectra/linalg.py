@@ -10,7 +10,7 @@ multiplication vectorizes as ``vec(A @ rho @ B) = kron(A, B.T) @ vec(rho)``.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -42,7 +42,7 @@ TARGETED_DENSE_FALLBACK = 40
 SPARSE_PRUNE_TOL = 1e-15
 #: Condition computation for eigenvector matrices is skipped above this size.
 _CONDITION_LIMIT = 2000
-#: Block solves after which the inverse iteration of :func:`eig_null` gives up.
+#: Block solves after which the inverse iteration of :meth:`Solvable.null` gives up.
 NULL_ITERATION_LIMIT = 100
 #: Largest tolerated magnitude of an entry a symmetry forbids: of one
 #: connecting different charges, and, relative to the largest entry, of the
@@ -374,47 +374,8 @@ def eig_targeted(
     )
 
 
-def eig_solve(
-    a: MatrixLike,
-    shift: complex,
-    count: int,
-    tol: float = 1e-10,
-    seed: int = 0,
-    cache: Optional[Dict[tuple, EigResult]] = None,
-    involution: Optional[np.ndarray] = None,
-) -> EigResult:
-    """The one spectral solve: :func:`eig_targeted`, memoized in ``cache``.
-
-    ``count`` is clipped to the dimension of ``a``, and the result is stored
-    under ``(shift, count, tol, seed)`` with the clipped count; ``cache``
-    belongs to the one matrix ``a`` and its ``involution``.  A failed solve
-    raises and stores nothing.  A cached result is returned as is, so callers
-    must index rather than modify its arrays, and the matrix behind a cache
-    must not change once it has been solved.
-    """
-    key = _solve_key(a, shift, count, tol, seed)
-    return _memoized(cache, key, lambda: eig_targeted(a, shift, key[1], tol=tol, seed=seed,
-                                                      involution=involution))
-
-
-def _solve_key(a: MatrixLike, shift: complex, count: int, tol: float, seed: int) -> tuple:
-    """The cache key of a solve of ``a``: ``count`` is clipped to its dimension."""
-    return shift, min(count, a.shape[0]), tol, seed
-
-
-def _memoized(cache: Optional[Dict[tuple, EigResult]], key: tuple, solve) -> EigResult:
-    """``solve()``, stored in ``cache`` under ``key``; a stored result is returned as is."""
-    if cache is not None and key in cache:
-        log.debug("reusing the solve for key %s", key)
-        return cache[key]
-    result = solve()
-    if cache is not None:
-        cache[key] = result
-    return result
-
-
 def _inverse_iteration(a: MatrixLike, shift: complex, tol: float, seed: int,
-                       involution: Optional[np.ndarray] = None) -> EigResult:
+                       involution: Optional[np.ndarray]) -> EigResult:
     """The two Ritz pairs nearest zero of block inverse iteration on one LU.
 
     The LU is of ``a - sigma`` at ``sigma = shift - 1e-6 * scale``, a
@@ -467,31 +428,74 @@ def _inverse_iteration(a: MatrixLike, shift: complex, tol: float, seed: int,
     )
 
 
-def eig_null(
-    a: MatrixLike,
-    shift: complex,
-    count: int,
-    tol: float = 1e-10,
-    seed: int = 0,
-    cache: Optional[Dict[tuple, EigResult]] = None,
-    involution: Optional[np.ndarray] = None,
-) -> EigResult:
-    """Eigenpairs of ``a`` nearest zero, enough to read and check its null vector.
+@dataclass
+class Solvable:
+    """A matrix solved by targeted eigensolves, its adjoint involution and its solves.
 
-    A result of :func:`eig_solve` with the same arguments in ``cache`` is
-    returned as is, so a null vector read after a spectrum of the same matrix
-    costs no solve.  Up to :data:`TARGETED_DENSE_FALLBACK` that solve is made,
-    densely.  Otherwise two Ritz pairs come from :func:`_inverse_iteration`,
-    cached under a key of their own, whose factorization errors are those of
-    :func:`eig_targeted`; a capped iteration raises
-    :class:`EigenConvergenceError` with the Ritz values.  Both solves take
-    ``involution`` as :func:`eig_targeted` does.
+    ``involution`` is the basis permutation of an adjoint involution that
+    commutes with ``matrix`` (:func:`builder.adjoint_permutation`), or None;
+    with it, solves at a real shift run in real arithmetic
+    (:func:`eig_targeted`).  Each solve is stored in a private memo under
+    ``(shift, count, tol, seed)``, with ``count`` clipped to the dimension,
+    so calls asking for the same key share one solve.  A failed solve raises
+    and stores nothing.  A stored result is returned as is, so callers must
+    index rather than modify its arrays, and ``matrix`` must not change once
+    it has been solved.
     """
-    if a.shape[0] <= TARGETED_DENSE_FALLBACK or (
-            cache is not None and _solve_key(a, shift, count, tol, seed) in cache):
-        return eig_solve(a, shift, count, tol=tol, seed=seed, cache=cache, involution=involution)
-    return _memoized(cache, ("null", shift, tol, seed),
-                     lambda: _inverse_iteration(a, shift, tol, seed, involution))
+
+    matrix: sp.csr_matrix
+    involution: Optional[np.ndarray] = None
+    _solves: Dict[tuple, EigResult] = field(default_factory=dict, init=False, repr=False,
+                                            compare=False)
+
+    def _key(self, shift: complex, count: int, tol: float, seed: int) -> tuple:
+        return shift, min(count, self.matrix.shape[0]), tol, seed
+
+    def _once(self, key: tuple, solve) -> EigResult:
+        if key in self._solves:
+            log.debug("reusing the solve for key %s", key)
+        else:
+            self._solves[key] = solve()
+        return self._solves[key]
+
+    def solved(self, shift: complex, count: int, tol: float = 1e-10,
+               seed: int = 0) -> Optional[EigResult]:
+        """The stored result of :meth:`eigs` with these arguments, or None."""
+        return self._solves.get(self._key(shift, count, tol, seed))
+
+    def eigs(self, shift: complex, count: int, tol: float = 1e-10, seed: int = 0) -> EigResult:
+        """:func:`eig_targeted` with the involution, ``count`` clipped to the dimension."""
+        key = self._key(shift, count, tol, seed)
+        return self._once(key, lambda: eig_targeted(self.matrix, shift, key[1], tol=tol,
+                                                    seed=seed, involution=self.involution))
+
+    def null(self, shift: complex, count: int, tol: float = 1e-10, seed: int = 0) -> EigResult:
+        """Eigenpairs nearest zero, enough to read and check the null vector.
+
+        A stored :meth:`eigs` result with the same arguments is returned as
+        is, so a null vector read after a spectrum costs no solve.  Up to
+        :data:`TARGETED_DENSE_FALLBACK` that solve is made, densely.
+        Otherwise two Ritz pairs come from :func:`_inverse_iteration`,
+        stored under a key of their own, whose factorization errors are
+        those of :func:`eig_targeted`; a capped iteration raises
+        :class:`EigenConvergenceError` with the Ritz values.
+        """
+        if (self.matrix.shape[0] <= TARGETED_DENSE_FALLBACK
+                or self.solved(shift, count, tol, seed) is not None):
+            return self.eigs(shift, count, tol, seed)
+        return self._once(("null", shift, tol, seed), lambda: _inverse_iteration(
+            self.matrix, shift, tol, seed, self.involution))
+
+    def restrict(self, members: np.ndarray) -> "Solvable":
+        """The submatrix on the sorted basis ranks ``members``, with no solves.
+
+        It keeps the involution, restricted to the local basis, when the
+        involution maps ``members`` onto itself, and has none otherwise.
+        """
+        matrix = self.matrix.tocsr()[members, :][:, members]
+        if self.involution is None or not np.isin(self.involution[members], members).all():
+            return Solvable(matrix)
+        return Solvable(matrix, np.searchsorted(members, self.involution[members]))
 
 
 def herm_sqrt(a: MatrixLike, clip_tol: float = 1e-12) -> np.ndarray:

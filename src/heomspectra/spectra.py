@@ -20,7 +20,7 @@ from .errors import (
     MatrixValidationError,
     SizeBudgetError,
 )
-from .linalg import DENSE_EIG_LIMIT, _nearest_order, _solve_key, as_dense, eig_dense, eig_null
+from .linalg import DENSE_EIG_LIMIT, Solvable, _nearest_order, as_dense, eig_dense
 from .symmetry import (SectorDecomposition, _ordered_solve, decompose, leading_order,
                        sector_leading_eigs)
 
@@ -73,11 +73,11 @@ def spectrum(
     """Ordered spectrum of a generator or one of its symmetry sectors.
 
     The ``count`` eigenvalues nearest ``shift``, at most the dimension of the
-    solved matrix (:func:`linalg.eig_solve`), in :func:`leading_order`.  Those
-    of a decomposition's sector come from :func:`sector_leading_eigs`, those
-    of a generator (whose ``charge`` is ignored) from the same ordered solve
-    on its own cache and with its adjoint involution; the vectors are
-    embedded into full-space coordinates.
+    solved matrix (:meth:`linalg.Solvable.eigs`), in :func:`leading_order`.
+    Those of a decomposition's sector come from :func:`sector_leading_eigs`,
+    those of a generator (whose ``charge`` is ignored) from the same ordered
+    solve of its ``solvable``; the vectors are embedded into full-space
+    coordinates.
     ``charge=None`` with a decomposition gives the ``count`` nearest over all
     its sectors, read from the sector solves without a solve of the full
     generator.
@@ -88,8 +88,7 @@ def spectrum(
         res = sector_leading_eigs(target, charge, count, tol=tol, seed=seed, shift=shift)
         vectors, liouv = target.embed(charge, res.right_vectors), target.liouvillian
     elif isinstance(target, HeomLiouvillian):
-        res = _ordered_solve(target.matrix, target._eig_cache, count, tol, seed, shift,
-                             target.involution())
+        res = _ordered_solve(target.solvable, count, tol, seed, shift)
         vectors, liouv = res.right_vectors, target
     else:
         raise MatrixValidationError(f"cannot analyze object of type {type(target)!r}")
@@ -168,19 +167,16 @@ def canonical_physical_state(block: np.ndarray) -> Tuple[PhysicalState, complex]
     return state, trace * correction
 
 
-def _null_vector(matrix, count: int, tol: float, seed: int, shift: complex, cache=None,
-                 involution=None):
-    """The null vector of ``matrix``: the steady-state rule of both pictures.
+def _null_vector(solvable: Solvable, count: int, tol: float, seed: int, shift: complex):
+    """The null vector of ``solvable``'s matrix: the steady-state rule of both pictures.
 
-    The eigenpairs nearest zero come from :func:`linalg.eig_null`, with
-    ``involution``: the cached solve of ``spectrum`` for ``max(count, 2)``
-    eigenpairs when there is one, otherwise inverse iteration, cached in
-    ``cache`` as well.  No eigenvalue within :data:`ZERO_MULTIPLICITY_TOL`
-    of zero raises :class:`ExtractionError`, more than one
-    :class:`DegenerateSteadyStateError`.
+    The eigenpairs nearest zero come from :meth:`linalg.Solvable.null`: the
+    stored spectrum solve for ``max(count, 2)`` eigenpairs when there is
+    one, otherwise inverse iteration, stored as well.  No eigenvalue within
+    :data:`ZERO_MULTIPLICITY_TOL` of zero raises :class:`ExtractionError`,
+    more than one :class:`DegenerateSteadyStateError`.
     """
-    res = eig_null(matrix, shift, max(count, 2), tol=tol, seed=seed, cache=cache,
-                   involution=involution)
+    res = solvable.null(shift, max(count, 2), tol=tol, seed=seed)
     values = res.eigenvalues
     near_zero = _near_zero(values)
     if near_zero.size == 0:
@@ -209,7 +205,7 @@ def steady_state(
     A generator whose model declares a symmetry is solved in charge 0 of a
     new :func:`decompose` of it, which holds the trace covector and so the
     steady state; the state is embedded back into full-space coordinates.
-    That solve is cached on the new decomposition and shared with no other
+    That solve is stored on the new decomposition and shared with no other
     call.  A caller that holds a decomposition should pass it instead: then
     ``gap(decomp, charge=None)`` reads the gap from the same sector solves.  A
     near-zero eigenvalue in another sector belongs to a traceless persistent
@@ -217,26 +213,30 @@ def steady_state(
     eigenvalue of the solved matrix must be simple within
     :data:`ZERO_MULTIPLICITY_TOL`; a degenerate null space raises
     :class:`DegenerateSteadyStateError` listing the near-zero eigenvalues.
+    ``charge`` is ignored for a generator; a sector of a decomposition other
+    than charge 0 holds no trace, so it raises :class:`ExtractionError`
+    before any solve.
 
-    Charge 0 of a generator or decomposition is read without a solve from a
-    ``spectrum`` of the full generator with the same arguments, cached on
-    it, whose zero eigenvalue is simple: its null vector lies in charge 0.
+    A generator or decomposition is read without a solve from a ``spectrum``
+    of the full generator with the same arguments, stored in its
+    ``solvable``, whose zero eigenvalue is simple: its null vector lies in
+    charge 0.
     """
     liouv = target.liouvillian if isinstance(target, SectorDecomposition) else target
     if not isinstance(liouv, HeomLiouvillian):
         raise MatrixValidationError(f"cannot analyze object of type {type(target)!r}")
-    full = liouv._eig_cache.get(_solve_key(liouv.matrix, shift, max(count, 2), tol, seed))
-    if full is not None and charge == 0 and _near_zero(full.eigenvalues).size == 1:
+    if isinstance(target, SectorDecomposition) and charge != 0:
+        raise ExtractionError(f"sector {charge} holds no trace, so no steady state; "
+                              "the steady state lies in charge 0")
+    full = liouv.solvable.solved(shift, max(count, 2), tol, seed)
+    if full is not None and _near_zero(full.eigenvalues).size == 1:
         target = liouv
     elif isinstance(target, HeomLiouvillian) and target.model.symmetry is not None:
-        target, charge = decompose(target), 0
+        target = decompose(target)
     if isinstance(target, SectorDecomposition):
-        vector = target.embed(charge, _null_vector(target.sector(charge), count, tol, seed, shift,
-                                                   target._eig_cache.setdefault(charge, {}),
-                                                   target.involutions.get(charge)))
+        vector = target.embed(0, _null_vector(target.solvable(0), count, tol, seed, shift))
     else:
-        vector = _null_vector(liouv.matrix, count, tol, seed, shift, liouv._eig_cache,
-                              liouv.involution())
+        vector = _null_vector(liouv.solvable, count, tol, seed, shift)
     state = HeomState(vector, liouv.hierarchy, liouv.d_s)
     physical, factor = canonical_physical_state(state.physical())
     return physical, HeomState(vector / factor, liouv.hierarchy, liouv.d_s)

@@ -18,13 +18,13 @@ if the declared charges are wrong.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 
 from .errors import MatrixValidationError, SymmetryViolationError
-from .linalg import OFF_SECTOR_TOL, EigResult, eig_solve
+from .linalg import OFF_SECTOR_TOL, EigResult, Solvable
 
 if TYPE_CHECKING:  # pragma: no cover
     from .builder import HeomLiouvillian
@@ -59,23 +59,20 @@ class SectorDecomposition:
     """Partition of the vectorized basis by charge, with per-sector matrices.
 
     ``sectors`` maps each charge to the sorted global basis ranks it owns and
-    ``matrices`` holds the corresponding submatrices.  The sector of charge 0
-    contains the physical trace covector and hence the steady state.
-    ``involutions`` maps each charge whose sector the adjoint involution maps
-    onto itself (every charge of a Z2, charge 0 of a U(1)) to the involution's
-    permutation of the sector's local basis, with which its solves run in
-    real arithmetic.  Targeted solves of the sectors are cached on the
-    instance, so the matrices must not change after analysis.
+    ``solvables`` to the :class:`linalg.Solvable` of its submatrix, which
+    holds the sector's solves and, for a sector the adjoint involution maps
+    onto itself (every charge of a Z2, charge 0 of a U(1)), the involution
+    with which they run in real arithmetic.  The sector of charge 0 contains
+    the physical trace covector and hence the steady state.  The matrices
+    must not change after analysis.
     """
 
     liouvillian: "HeomLiouvillian"
     spec: SymmetrySpec
     charges: np.ndarray
     sectors: Dict[int, np.ndarray]
-    matrices: Dict[int, "np.ndarray"]
+    solvables: Dict[int, Solvable]
     off_sector_residual: float
-    involutions: Dict[int, np.ndarray]
-    _eig_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def charges_present(self) -> List[int]:
         return sorted(self.sectors)
@@ -83,10 +80,13 @@ class SectorDecomposition:
     def dimension(self, charge: int) -> int:
         return len(self.sectors[charge])
 
-    def sector(self, charge: int):
-        if charge not in self.matrices:
+    def solvable(self, charge: int) -> Solvable:
+        if charge not in self.solvables:
             raise MatrixValidationError(f"sector {charge} does not exist")
-        return self.matrices[charge]
+        return self.solvables[charge]
+
+    def sector(self, charge: int):
+        return self.solvable(charge).matrix
 
     def embed(self, charge: int, local: np.ndarray) -> np.ndarray:
         """Scatter sector-local vectors (a vector or columns) into full-space coordinates."""
@@ -147,7 +147,8 @@ def decompose(liouvillian: "HeomLiouvillian", spec: SymmetrySpec | None = None) 
     ``spec`` defaults to the model's declared symmetry.  The charges and the
     block-diagonality check are those of :func:`_sector_charges`, whose
     errors propagate.  The adjoint involution maps charge ``q`` to ``-q``, so
-    it is restricted to each sector whose charge is its own negative.
+    :meth:`linalg.Solvable.restrict` keeps it on each sector whose charge is
+    its own negative.
     """
     if spec is None:
         spec = liouvillian.model.symmetry
@@ -163,18 +164,7 @@ def decompose(liouvillian: "HeomLiouvillian", spec: SymmetrySpec | None = None) 
         bra=(system[None, None, :], idx[..., space.n_modes :]),
     )
 
-    csr = liouvillian.matrix.tocsr()
-    swap = liouvillian.involution()
-    sectors: Dict[int, np.ndarray] = {}
-    matrices = {}
-    involutions = {}
-    for charge in np.unique(charges):
-        members = np.flatnonzero(charges == charge)
-        sectors[int(charge)] = members
-        matrices[int(charge)] = csr[members, :][:, members]
-        if spec.reduce(-charge) == charge:
-            involutions[int(charge)] = np.searchsorted(members, swap[members])
-
+    sectors = {int(charge): np.flatnonzero(charges == charge) for charge in np.unique(charges)}
     if 0 not in sectors:
         raise SymmetryViolationError(0.0, 0, 0, 0, 0)
     return SectorDecomposition(
@@ -182,9 +172,9 @@ def decompose(liouvillian: "HeomLiouvillian", spec: SymmetrySpec | None = None) 
         spec=spec,
         charges=charges,
         sectors=sectors,
-        matrices=matrices,
+        solvables={charge: liouvillian.solvable.restrict(members)
+                   for charge, members in sectors.items()},
         off_sector_residual=off_residual,
-        involutions=involutions,
     )
 
 
@@ -208,19 +198,17 @@ def sector_leading_eigs(
 ) -> EigResult:
     """The ``count`` eigenvalues of one sector nearest ``shift``, gap-ordered.
 
-    The one ordered targeted solve of a sector: :func:`linalg.eig_solve` on
-    the sector's cache and with its involution, so at most the sector's
-    dimension of values, then :func:`leading_order`.
+    The one ordered targeted solve of a sector: :meth:`linalg.Solvable.eigs`
+    of the sector, so at most its dimension of values, then
+    :func:`leading_order`.
     """
-    return _ordered_solve(decomp.sector(charge), decomp._eig_cache.setdefault(charge, {}),
-                          count, tol, seed, shift, decomp.involutions.get(charge))
+    return _ordered_solve(decomp.solvable(charge), count, tol, seed, shift)
 
 
-def _ordered_solve(matrix, cache: dict, count: int, tol: float, seed: int,
-                   shift: complex, involution) -> EigResult:
-    """:func:`linalg.eig_solve` of ``matrix`` on ``cache``, in :func:`leading_order`."""
-    res = eig_solve(matrix, shift, count, tol=tol, seed=seed, cache=cache,
-                    involution=involution)
+def _ordered_solve(solvable: Solvable, count: int, tol: float, seed: int,
+                   shift: complex) -> EigResult:
+    """:meth:`linalg.Solvable.eigs` of ``solvable``, in :func:`leading_order`."""
+    res = solvable.eigs(shift, count, tol=tol, seed=seed)
     order = leading_order(res.eigenvalues)
     return EigResult(
         eigenvalues=res.eigenvalues[order],

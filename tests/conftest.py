@@ -83,3 +83,19 @@ def refined_calls(monkeypatch):
 
     monkeypatch.setattr(linalg, "_refined_inverse", spy)
     return sigmas
+
+
+@pytest.fixture
+def factorized(monkeypatch):
+    """Record ``(dimension, dtype kind)`` of every ``linalg._refined_inverse`` factorization."""
+    from heomspectra import linalg
+
+    calls = []
+    original = linalg._refined_inverse
+
+    def spy(a, sigma):
+        calls.append((a.shape[0], a.dtype.kind))
+        return original(a, sigma)
+
+    monkeypatch.setattr(linalg, "_refined_inverse", spy)
+    return calls

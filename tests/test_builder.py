@@ -177,7 +177,7 @@ class TestAssembleStructure:
 
     def test_adjoint_permutation_swaps_and_transposes_blocks(self, rng):
         liouv = assemble(two_mode_dicke(2, 1.5, 1.0, 5.0, 5.0), 3)
-        perm = liouv.involution()
+        perm = liouv.solvable.involution
         assert np.array_equal(perm[perm], np.arange(liouv.dim))
         x = rng.standard_normal(liouv.dim) + 1j * rng.standard_normal(liouv.dim)
         state = HeomState(x, liouv.hierarchy, liouv.d_s)

@@ -267,15 +267,7 @@ class TestSolverOptions:
         execute_point(config, 0, 2, 1.0)
         assert dims == [assemble(build_model(config, 2, 1.0), 2).dim]
 
-    def test_u1_steady_state_reads_the_full_gap_solve(self, tmp_path, monkeypatch):
-        factorized = []
-        original = linalg._refined_inverse
-
-        def spy(a, sigma):
-            factorized.append((a.shape[0], a.dtype.kind))
-            return original(a, sigma)
-
-        monkeypatch.setattr(linalg, "_refined_inverse", spy)
+    def test_u1_steady_state_reads_the_full_gap_solve(self, tmp_path, factorized):
         config = parse_config(write_config(
             tmp_path, model="two_mode_dicke", params={"omega0": 1.0, "omega": 5.0, "kappa": 5.0},
             N=[2], k_max=3, sweep={"parameter": "g", "grid": [1.0]},

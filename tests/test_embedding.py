@@ -4,7 +4,6 @@ import itertools
 import numpy as np
 import pytest
 
-from heomspectra import linalg
 from heomspectra.builder import assemble, initial_state, propagate
 from heomspectra.embedding import (
     EmbeddingSpec,
@@ -192,21 +191,13 @@ class TestChargeZeroEmbedding:
         ],
         ids=["lmg", "two_mode_dicke"],
     )
-    def test_matches_the_full_null_vector(self, model, cutoffs, dim0, monkeypatch):
-        solved = []
-        original = linalg._refined_inverse
-
-        def spy(a, sigma):
-            solved.append((a.shape[0], a.dtype.kind))
-            return original(a, sigma)
-
+    def test_matches_the_full_null_vector(self, model, cutoffs, dim0, factorized):
         # the steady-state rule of both pictures factorizes the charge-0 block,
         # in its real form
-        monkeypatch.setattr(linalg, "_refined_inverse", spy)
         spec = EmbeddingSpec(model, cutoffs)
         rho, _ = steady_state_lm(spec)
         charges = element_charges(spec)
-        assert solved == [(dim0, "f")] == [(int(np.sum(charges == 0)), "f")]
+        assert factorized == [(dim0, "f")] == [(int(np.sum(charges == 0)), "f")]
         full = eig_dense(build_lm(spec))
         null = devectorize(full.right_vectors[:, np.argmin(np.abs(full.eigenvalues))],
                            spec.hilbert_dim)

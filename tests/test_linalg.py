@@ -13,12 +13,11 @@ from heomspectra.errors import (
     SymmetryViolationError,
 )
 from heomspectra.linalg import (
+    Solvable,
     as_dense,
     clean_sparse,
     devectorize,
     eig_dense,
-    eig_null,
-    eig_solve,
     eig_targeted,
     herm_sqrt,
     kron,
@@ -171,12 +170,12 @@ class TestEigTargeted:
         # displaced shift is the requested one and the first pivot is zero.
         a = sp.identity(linalg.TARGETED_DENSE_FALLBACK + 100, dtype=complex,
                         format="csr") * 0.0
-        cache = {}
+        solvable = Solvable(a)
         with pytest.raises(SingularShiftError) as info:
-            eig_solve(a, 0.0, 2, cache=cache)
+            solvable.eigs(0.0, 2)
         assert info.value.shift == 0.0 and info.value.suggested_shift != 0.0
         assert refined_calls == [0.0]
-        assert cache == {}
+        assert solvable.solved(0.0, 2) is None
 
 
 class TestShiftInvert:
@@ -215,20 +214,20 @@ class TestShiftInvert:
         assert info.value.ritz_values is not None and len(info.value.ritz_values) == 6
         assert len(refined_calls) == 1
 
-    def test_eig_solve_raises_singular_shift_without_retry(self, refined_calls):
-        # Explicit zeros: the requested shift is an exact zero pivot.  eig_solve
+    def test_eigs_raises_singular_shift_without_retry(self, refined_calls):
+        # Explicit zeros: the requested shift is an exact zero pivot.  eigs
         # makes one factorization and raises; the caller's remedy is a new
         # request at the suggested shift, which then succeeds.
         a = sp.identity(700, dtype=complex, format="csr") * 0.0
-        cache = {}
+        solvable = Solvable(a)
         with pytest.raises(SingularShiftError) as info:
-            eig_solve(a, 0.0, 2, cache=cache)
-        assert refined_calls == [0.0] and cache == {}
+            solvable.eigs(0.0, 2)
+        assert refined_calls == [0.0] and solvable._solves == {}
         suggested = info.value.suggested_shift
-        res = eig_solve(a, suggested, 2, cache=cache)
+        res = solvable.eigs(suggested, 2)
         assert np.abs(res.eigenvalues).max() <= 1e-10
         assert refined_calls == [0.0, suggested]
-        assert list(cache) == [(suggested, 2, 1e-10, 0)]
+        assert list(solvable._solves) == [(suggested, 2, 1e-10, 0)]
 
 
 class TestNullIteration:
@@ -246,56 +245,42 @@ class TestNullIteration:
         return (rates - sp.diags(np.asarray(rates.sum(axis=0)).ravel())).tocsr().astype(complex)
 
     def test_null_vector_with_one_factorization(self, matrix, eig_calls, refined_calls):
-        cache = {}
-        res = eig_null(matrix, 0.0, 6, cache=cache)
+        solvable = Solvable(matrix)
+        res = solvable.null(0.0, 6)
         assert res.eigenvalues.size == 2 and abs(res.eigenvalues[0]) <= 1e-12
         assert res.residual_norms[0] <= 1e-12
         assert abs(res.eigenvalues[1]) > 1e-3
-        assert eig_null(matrix, 0.0, 6, cache=cache) is res
+        assert solvable.null(0.0, 6) is res
         assert eig_calls == [] and len(refined_calls) == 1
         scale = np.abs(matrix.data).max()
         assert refined_calls[0] == pytest.approx(-1e-6 * scale)
 
     def test_reads_a_cached_spectrum_solve(self, matrix, refined_calls):
-        cache = {}
-        solved = eig_solve(matrix, 0.0, 6, cache=cache)
-        assert eig_null(matrix, 0.0, 6, cache=cache) is solved
+        solvable = Solvable(matrix)
+        solved = solvable.eigs(0.0, 6)
+        assert solvable.null(0.0, 6) is solved
         assert len(refined_calls) == 1
 
     def test_small_matrix_takes_the_dense_path(self, eig_calls, refined_calls):
         a = sp.diags([0.0, -1.0, -2.0]).tocsr()
-        res = eig_null(a, 0.0, 2)
+        res = Solvable(a).null(0.0, 2)
         assert res.eigenvalues.tolist() == [0.0, -1.0]
         assert len(eig_calls) == 1 and refined_calls == []
 
     def test_capped_iteration_raises_with_ritz_values(self, matrix, monkeypatch):
         monkeypatch.setattr(linalg, "NULL_ITERATION_LIMIT", 1)
-        cache = {}
+        solvable = Solvable(matrix)
         with pytest.raises(EigenConvergenceError) as info:
-            eig_null(matrix, 0.0, 6, cache=cache)
-        assert len(info.value.ritz_values) == 2 and cache == {}
+            solvable.null(0.0, 6)
+        assert len(info.value.ritz_values) == 2 and solvable._solves == {}
 
     def test_zero_pivot_raises_singular_shift(self, refined_calls):
         a = sp.identity(700, dtype=complex, format="csr") * 0.0  # scale 0: sigma is the shift
-        cache = {}
+        solvable = Solvable(a)
         with pytest.raises(SingularShiftError) as info:
-            eig_null(a, 0.0, 6, cache=cache)
+            solvable.null(0.0, 6)
         assert info.value.suggested_shift != 0.0
-        assert refined_calls == [0.0] and cache == {}
-
-
-@pytest.fixture
-def factorized(monkeypatch):
-    """The dtype of every ``linalg._refined_inverse`` factorization."""
-    dtypes = []
-    original = linalg._refined_inverse
-
-    def spy(a, sigma):
-        dtypes.append(a.dtype)
-        return original(a, sigma)
-
-    monkeypatch.setattr(linalg, "_refined_inverse", spy)
-    return dtypes
+        assert refined_calls == [0.0] and solvable._solves == {}
 
 
 def _decomposition(name):
@@ -313,13 +298,12 @@ class TestRealForm:
     ])
     def test_matches_the_dense_spectrum(self, name, charge, factorized):
         decomp = _decomposition(name)
-        if charge is None:
-            matrix, involution = decomp.liouvillian.matrix, decomp.liouvillian.involution()
-        else:
-            matrix, involution = decomp.sector(charge), decomp.involutions[charge]
+        solvable = (decomp.liouvillian.solvable if charge is None
+                    else decomp.solvables[charge])
+        matrix, involution = solvable.matrix, solvable.involution
         assert matrix.shape[0] > linalg.TARGETED_DENSE_FALLBACK
         res = eig_targeted(matrix, 0.0, 6, tol=1e-10, involution=involution)
-        assert factorized == [np.float64]
+        assert factorized == [(matrix.shape[0], "f")]
         dense = np.linalg.eigvals(matrix.toarray())
         nearest = dense[linalg._nearest_order(dense, 0.0)[:6]]
         assert multiset_distance(res.eigenvalues, nearest) <= 1e-10
@@ -329,8 +313,8 @@ class TestRealForm:
 
     def test_null_iteration_factorizes_once_in_real_arithmetic(self, factorized):
         decomp = _decomposition("lmg")
-        res = eig_null(decomp.sector(0), 0.0, 6, involution=decomp.involutions[0])
-        assert factorized == [np.float64]
+        res = decomp.solvables[0].null(0.0, 6)
+        assert factorized == [(decomp.dimension(0), "f")]
         assert abs(res.eigenvalues[0]) <= 1e-10 and res.residual_norms[0] <= 1e-10
         vector = res.right_vectors[:, 0]
         assert np.linalg.norm(decomp.sector(0) @ vector) <= 1e-10
@@ -340,23 +324,25 @@ class TestRealForm:
         broken = decomp.sector(0).copy()
         broken.data[0] += 1e-8j
         with pytest.raises(SymmetryViolationError, match="adjoint involution"):
-            eig_targeted(broken, 0.0, 6, involution=decomp.involutions[0])
+            eig_targeted(broken, 0.0, 6, involution=decomp.solvables[0].involution)
         with pytest.raises(SymmetryViolationError):
-            eig_null(broken, 0.0, 6, involution=decomp.involutions[0])
+            Solvable(broken, decomp.solvables[0].involution).null(0.0, 6)
         assert factorized == []
 
     def test_non_real_shift_takes_the_complex_path(self, factorized):
         decomp = _decomposition("lmg")
-        res = eig_targeted(decomp.sector(0), -0.2 + 0.1j, 4, involution=decomp.involutions[0])
-        assert factorized == [np.complex128]
+        res = eig_targeted(decomp.sector(0), -0.2 + 0.1j, 4,
+                           involution=decomp.solvables[0].involution)
+        assert factorized == [(decomp.dimension(0), "c")]
         assert np.all(res.residual_norms <= 1e-10)
 
     def test_u1_charge_other_than_zero_takes_the_complex_path(self, factorized):
         decomp = _decomposition("two_mode_dicke")
-        assert sorted(decomp.involutions) == [0]
+        assert [q for q, solvable in sorted(decomp.solvables.items())
+                if solvable.involution is not None] == [0]
         assert decomp.dimension(1) > linalg.TARGETED_DENSE_FALLBACK
         res = sector_leading_eigs(decomp, 1, count=4)
-        assert factorized == [np.complex128]
+        assert factorized == [(decomp.dimension(1), "c")]
         assert np.all(res.residual_norms <= 1e-10)
 
     def test_nearly_hermitian_custom_hamiltonian_solves(self, factorized):
@@ -364,14 +350,15 @@ class TestRealForm:
         h = ops["sigma_z"] + 0.3 * ops["sigma_x"] + 5e-11j * np.array([[0, 1], [0, 0]])
         model = custom(h, [BathSpec(ops["sigma_minus"], (BathTerm(0.2, 0.5, 1.0),))])
         liouv = assemble(model, 4)
-        res = eig_targeted(liouv.matrix, 0.0, 4, involution=liouv.involution())
-        assert factorized == [np.float64]
+        res = eig_targeted(liouv.matrix, 0.0, 4, involution=liouv.solvable.involution)
+        assert factorized == [(liouv.dim, "f")]
         assert np.all(res.residual_norms <= 1e-10)
 
     def test_involution_must_be_self_inverse(self):
         decomp = _decomposition("lmg")
         with pytest.raises(MatrixValidationError):
-            eig_targeted(decomp.sector(0), 0.0, 6, involution=np.roll(decomp.involutions[0], 1))
+            eig_targeted(decomp.sector(0), 0.0, 6,
+                         involution=np.roll(decomp.solvables[0].involution, 1))
 
 
 class TestHermSqrt:

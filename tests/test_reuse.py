@@ -13,7 +13,7 @@ from heomspectra.builder import HeomLiouvillian, assemble
 from heomspectra.dpt import ssb_pair
 from heomspectra.embedding import EmbeddingSpec, steady_state_lm
 from heomspectra.errors import DegenerateSteadyStateError, RealnessGateError, SingularShiftError
-from heomspectra.linalg import eig_targeted
+from heomspectra.linalg import Solvable, eig_targeted
 from heomspectra.models import lmg, z2_lmg
 from heomspectra.spectra import distinct_from_leading, gap, spectrum, steady_state
 from heomspectra.symmetry import SectorDecomposition, SymmetrySpec, decompose, sector_leading_eigs
@@ -124,7 +124,7 @@ class TestCountAboveDimension:
             steady_state(decomp, count=10)
         assert [call[1] for call in eig_calls] == [5, 4]
         for charge, dim in dims.items():
-            assert list(decomp._eig_cache[charge]) == [(0.0, dim, 1e-10, 0)]
+            assert list(decomp.solvables[charge]._solves) == [(0.0, dim, 1e-10, 0)]
 
 
 class TestNoAliasing:
@@ -152,9 +152,16 @@ class TestNoAliasing:
 
 
 @pytest.mark.parametrize("cls", [HeomLiouvillian, SectorDecomposition])
-def test_cache_field_is_private(cls):
-    (cache,) = [f for f in dataclasses.fields(cls) if f.name == "_eig_cache"]
+def test_cache_field_is_private(cls, request):
+    # the solves of either class are kept in the private memo of linalg.Solvable
+    (cache,) = [f for f in dataclasses.fields(Solvable) if f.name == "_solves"]
     assert not cache.init and not cache.repr and not cache.compare
+    solved = request.getfixturevalue("liouv" if cls is HeomLiouvillian else "decomp")
+    assert isinstance(solved, cls)
+    before = repr(solved)
+    spectrum(solved, count=6)
+    memo = solved.solvable if cls is HeomLiouvillian else solved.solvable(0)
+    assert memo._solves and repr(solved) == before
 
 
 def test_generator_is_freed_without_the_garbage_collector():

@@ -11,7 +11,7 @@ from heomspectra.errors import (
     ExtractionError,
     MatrixValidationError,
 )
-from heomspectra.linalg import eig_dense
+from heomspectra.linalg import Solvable, eig_dense
 from heomspectra.models import BathSpec, BathTerm, custom, lmg, two_mode_dicke, z2_lmg
 from heomspectra.operators import SpinSpace, qubit_operators, spin_operators
 from heomspectra.spectra import (
@@ -113,6 +113,14 @@ class TestChargeZeroSteadyState:
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(assemble(model, 0))
 
+    def test_sector_other_than_charge_zero_raises_before_solving(self, refined_calls):
+        # its nearest eigenvalues are a conjugate pair far from zero, on which
+        # inverse iteration would run all its solves
+        decomp = decompose(assemble(z2_lmg(4, -2.9, 0.5, 1.0, 1.0, 0.5), 3))
+        with pytest.raises(ExtractionError, match="no trace"):
+            steady_state(decomp, charge=1)
+        assert refined_calls == []
+
 
 class TestSparseNullVector:
     """The null-vector rule above the dense fallback: inverse iteration on one LU."""
@@ -127,17 +135,17 @@ class TestSparseNullVector:
         doubled = sp.block_diag([sector, sector], format="csr")
         assert doubled.shape == (248, 248)
         with pytest.raises(DegenerateSteadyStateError):
-            _null_vector(doubled, 6, 1e-10, 0, 0.0)
+            _null_vector(Solvable(doubled), 6, 1e-10, 0, 0.0)
         assert len(refined_calls) == 1
 
     def test_no_zero_eigenvalue_raises(self, sector, refined_calls):
         shifted = (sector - 0.3 * sp.identity(124, format="csr")).tocsr()
         with pytest.raises(ExtractionError):
-            _null_vector(shifted, 6, 1e-10, 0, 0.0)
+            _null_vector(Solvable(shifted), 6, 1e-10, 0, 0.0)
         assert len(refined_calls) == 1
 
     def test_matches_the_dense_null_vector(self, sector, eig_calls, refined_calls):
-        vector = _null_vector(sector, 6, 1e-10, 0, 0.0)
+        vector = _null_vector(Solvable(sector), 6, 1e-10, 0, 0.0)
         full = eig_dense(sector)
         null = full.right_vectors[:, np.argmin(np.abs(full.eigenvalues))]
         k = np.argmax(np.abs(null))
