@@ -27,7 +27,6 @@ from typing import List, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
 
 from .errors import MatrixValidationError, SizeBudgetError, StiffnessError
 from .hierarchy import HierarchySpace, enumerate_indices
@@ -38,12 +37,12 @@ from .models import ModelInstance
 DEFAULT_DIMENSION_BUDGET = 2_000_000
 
 
-@dataclass
+@dataclass(eq=False)
 class HeomLiouvillian:
     """Sparse generator of the full hierarchy dynamics plus its metadata.
 
     Targeted solves of ``matrix`` are stored in ``solvable``, so the matrix
-    must not change after analysis.
+    must not change after analysis.  Generators compare by identity.
     """
 
     matrix: sp.csr_matrix
@@ -234,6 +233,8 @@ def _integrate(
         )
     if t.size == 1:
         return y0.reshape(-1, 1).copy()
+    from scipy.integrate import solve_ivp
+
     solution = solve_ivp(
         lambda _, y: matrix @ y,
         (0.0, float(t[-1])),

@@ -44,6 +44,15 @@ SPARSE_PRUNE_TOL = 1e-15
 _CONDITION_LIMIT = 2000
 #: Block solves after which the inverse iteration of :meth:`Solvable.null` gives up.
 NULL_ITERATION_LIMIT = 100
+#: Fills of the Krylov basis after which the shift-invert iteration of
+#: :func:`eig_targeted` gives up; each fill after the first starts from a
+#: thick restart, so 1 allows none.
+KRYLOV_CYCLE_LIMIT = 100
+#: LU entries whose solve costs about as much as the eigensolve of an m x m
+#: matrix, per m**3: the stop test of :func:`_krylov_schur` against one
+#: application of the inverse, measured 4 (real) to 6 (complex) on lmg,
+#: z2_lmg and two_mode_dicke sectors with m = 36 and 48 (2 cores).
+_STOP_TEST_WORK = 5
 #: Largest tolerated magnitude of an entry a symmetry forbids: of one
 #: connecting different charges, and, relative to the largest entry, of the
 #: imaginary part of an entry of a real form (:func:`_real_form`).
@@ -163,16 +172,17 @@ def _nearest_order(values: np.ndarray, shift: complex) -> np.ndarray:
                        np.round(np.abs(values - shift), 10)))
 
 
-def _refined_inverse(a: sp.spmatrix, sigma: complex) -> spla.LinearOperator:
-    """The operator ``(a - sigma I)^-1`` from one minimum-degree sparse LU.
+def _refined_inverse(a: sp.spmatrix, sigma: complex) -> Tuple[spla.LinearOperator, int]:
+    """The operator ``(a - sigma I)^-1`` from one minimum-degree sparse LU, and the LU's size.
 
     The LU and the operator have the dtype of ``a - sigma I``, so a real
     matrix at a real ``sigma`` is factorized in real arithmetic.  The
     ordering is minimum degree on ``A^T + A`` with diagonal pivots (SuperLU's
     symmetric mode), which roughly halves the fill of SciPy's default column
     ordering on HEOM generators, whose sparsity pattern is nearly symmetric.  Not pivoting for size costs accuracy, so each solve
-    takes one step of iterative refinement against the shifted matrix.  A
-    zero pivot raises :class:`RuntimeError`.
+    takes one step of iterative refinement against the shifted matrix.  The
+    number of entries the LU stores measures the work of one solve.  A zero
+    pivot raises :class:`RuntimeError`.
     """
     shifted = (a - sigma * sp.identity(a.shape[0], dtype=a.dtype, format="csr")).tocsc()
     lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -183,7 +193,8 @@ def _refined_inverse(a: sp.spmatrix, sigma: complex) -> spla.LinearOperator:
         x += lu.solve(b - shifted @ x)
         return x
 
-    return spla.LinearOperator(shifted.shape, matvec=solve, matmat=solve, dtype=shifted.dtype)
+    return (spla.LinearOperator(shifted.shape, matvec=solve, matmat=solve, dtype=shifted.dtype),
+            lu.nnz)
 
 
 def _square_sparse(a: MatrixLike, tol: float) -> Tuple[sp.csr_matrix, float]:
@@ -266,7 +277,7 @@ def _start_block(seed: int, shape, dtype) -> np.ndarray:
 
 
 def _shift_inverse(m: sp.csr_matrix, shift: complex, sigma: complex,
-                   scale: float) -> spla.LinearOperator:
+                   scale: float) -> Tuple[spla.LinearOperator, int]:
     """:func:`_refined_inverse` at ``sigma``; a zero pivot raises :class:`SingularShiftError`."""
     try:
         return _refined_inverse(m, sigma)
@@ -286,10 +297,20 @@ def eig_targeted(
 
     Up to :data:`TARGETED_DENSE_FALLBACK` (or when nearly the whole spectrum
     is asked for) the full dense spectrum is computed and filtered.  Above it
-    one shift-invert Arnoldi iteration runs on the refined minimum-degree LU
-    of :func:`_refined_inverse` at a slightly displaced shift, and the
-    residual norms are checked against ``tol``.  There is no retry: each
-    failure raises at once.  Given the permutation of an adjoint
+    one shift-invert Krylov-Schur iteration (:func:`_krylov_schur`) runs on
+    the refined minimum-degree LU of :func:`_refined_inverse` at a slightly
+    displaced shift.  It stops at the first test at which the ``count``
+    Ritz pairs nearest ``shift`` all have a residual on ``a`` within
+    ``min(tol, 1e-10) * 1e-2``, read from the Arnoldi relation; the test
+    follows every application of the inverse whose LU costs more than the
+    test, and is spaced out on smaller ones.  With ``ask = min(count + 4, n - 2)``, its basis holds at most
+    ``ncv + 1`` vectors, ``ncv = min(n, max(2 * ask + 12, 36))``, and when
+    it is full a thick restart keeps the Schur vectors of the ``ask`` Ritz
+    values nearest ``shift``.  The residual norms of the Ritz vectors are
+    then computed and checked against ``tol``, and ``vector_condition`` is
+    the condition number of their coefficients in the orthonormal basis,
+    which equals that of the vectors.  There is no retry: each failure
+    raises at once.  Given the permutation of an adjoint
     ``involution`` that commutes with ``a`` and a real ``shift``, the LU and
     the iteration are those of the real form of :func:`_real_form`, whose
     vectors are mapped back to the basis of ``a`` before the residual check;
@@ -301,8 +322,9 @@ def eig_targeted(
         If the factorization hits a zero pivot; the error carries a suggested
         perturbed shift, to be set as ``solver.shift``.
     EigenConvergenceError
-        If the iteration does not converge or residuals exceed ``tol``; the
-        error carries the Ritz values obtained.
+        If the iteration does not converge in :data:`KRYLOV_CYCLE_LIMIT`
+        fills of its basis or residuals exceed ``tol``; the error carries the
+        ``count`` Ritz values nearest ``shift``.
     """
     if count < 1:
         raise MatrixValidationError("count must be >= 1")
@@ -325,40 +347,20 @@ def eig_targeted(
         )
 
     form, to_original, form_shift = _working_form(m, shift, involution, scale)
-    v0 = _start_block(seed, n, form.dtype)
     ask = min(count + 4, n - 2)
-    ncv = min(n, max(2 * ask + 12, 36))
-
     # A shift sitting exactly on an eigenvalue (the usual case when targeting
     # the stationary state at 0) poisons the factorization and yields spurious
     # Ritz pairs, so the factorization uses a slightly displaced shift; the
     # eigenvalues nearest the *requested* shift are then selected from the
-    # larger Ritz set, so the displacement does not change the result.
+    # Ritz set, so the displacement does not change the result.
     sigma = form_shift - 1e-3 * scale
-    opinv = _shift_inverse(form, shift, sigma, scale)
-    try:
-        values, vectors = spla.eigs(
-            form,
-            k=ask,
-            sigma=sigma,
-            OPinv=opinv,
-            which="LM",
-            tol=min(tol, 1e-10) * 1e-2,
-            v0=v0,
-            ncv=ncv,
-            maxiter=max(100, 60 * ask),
-        )
-    except spla.ArpackError as exc:  # non-convergence carries its Ritz values
-        raise EigenConvergenceError(
-            f"shift-invert iteration at sigma={sigma} failed: {exc}",
-            ritz_values=getattr(exc, "eigenvalues", None),
-        ) from exc
+    opinv, fill = _shift_inverse(form, shift, sigma, scale)
+    values, coefficients, vectors = _krylov_schur(
+        form, opinv, fill, sigma, shift, count, ask, ncv=min(n, max(2 * ask + 12, 36)),
+        start=_start_block(seed, n, form.dtype), target=min(tol, 1e-10) * 1e-2)
     if to_original is not None:
         vectors = to_original @ vectors
     vectors = _normalize_columns(vectors)
-    order = _nearest_order(values, shift)[:count]
-    values = values[order]
-    vectors = vectors[:, order]
     residuals = _residuals(m, values, vectors)
     if not np.all(residuals <= tol):
         raise EigenConvergenceError(
@@ -366,11 +368,113 @@ def eig_targeted(
             f"residuals up to {residuals.max():.3e}",
             ritz_values=values,
         )
+    # The basis is orthonormal and the map to ``m``'s basis unitary, so the
+    # vectors have the singular values of their coefficients.
     return EigResult(
         eigenvalues=values,
         right_vectors=vectors,
         residual_norms=residuals,
-        vector_condition=float(np.linalg.cond(vectors)) if count > 1 else 1.0,
+        vector_condition=(float(np.linalg.cond(_normalize_columns(coefficients)))
+                          if count > 1 else 1.0),
+    )
+
+
+def _orthogonalize(gemv, basis: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Remove from ``w``, in place, its components along the orthonormal ``basis``.
+
+    Two passes of classical Gram-Schmidt; returns the coefficients removed.
+    """
+    coefficients = gemv(1.0, basis, w, trans=2)
+    gemv(-1.0, basis, coefficients, beta=1.0, y=w, overwrite_y=True)
+    again = gemv(1.0, basis, w, trans=2)
+    gemv(-1.0, basis, again, beta=1.0, y=w, overwrite_y=True)
+    return coefficients + again
+
+
+def _schur_values(t: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a real or complex Schur form in the order of its diagonal."""
+    values = np.diag(t).astype(complex)
+    if not np.iscomplexobj(t):
+        for i in np.flatnonzero(np.diag(t, -1)):  # the 2x2 block of a conjugate pair
+            values[i:i + 2] = np.linalg.eigvals(t[i:i + 2, i:i + 2])
+    return values
+
+
+def _krylov_schur(form: sp.csr_matrix, opinv: spla.LinearOperator, fill: int, sigma: complex,
+                  shift: complex, count: int, ask: int, ncv: int, start: np.ndarray,
+                  target: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``count`` Ritz pairs nearest ``shift`` of ``OP = (form - sigma)^-1``.
+
+    Shift-invert Arnoldi on ``opinv`` from ``start`` keeps ``OP V = V H +
+    f e_m^T`` with ``V`` orthonormal (two passes of classical Gram-Schmidt).
+    A Ritz pair ``(theta, V y)`` of ``H`` is an eigenpair of ``form`` at
+    ``sigma + 1 / theta`` with residual ``||(form - sigma) f|| |e_m^T y| /
+    |theta|``, so the iteration stops once the ``count`` Ritz values nearest
+    ``shift`` all have that residual within ``target``.  The test, an
+    eigensolve of the m x m ``H``, is made when the basis is full and after
+    each application of ``opinv`` (whose LU holds ``fill`` entries) at which
+    the applications since the last test have done the work of one test,
+    :data:`_STOP_TEST_WORK` ``* m**3`` LU entries: after every application
+    on large sectors, where an application costs more than the test, and
+    less often on small ones.  When the basis reaches ``ncv`` vectors, a
+    Krylov-Schur restart keeps the Schur vectors of ``H`` of the ``ask``
+    Ritz values nearest ``shift`` (a conjugate pair of a real ``form``
+    whole) and goes on from them.  The basis holds at most ``ncv + 1`` vectors.  After
+    :data:`KRYLOV_CYCLE_LIMIT` fills of the basis it raises
+    :class:`EigenConvergenceError` with the ``count`` nearest Ritz values.
+    Returns the values, their unit coefficient vectors ``y`` and the Ritz
+    vectors ``V y``, nearest ``shift`` first.
+    """
+    n = form.shape[0]
+    basis = np.empty((n, ncv + 1), dtype=form.dtype, order="F")
+    rayleigh = np.zeros((ncv + 1, ncv), dtype=form.dtype)  # H, with f's norm below it
+    gemv = sla.get_blas_funcs("gemv", (basis,))
+    basis[:, 0] = start / np.linalg.norm(start)
+    kept = pending = 0  # LU entries applied since the last test
+    for _ in range(KRYLOV_CYCLE_LIMIT):
+        for j in range(kept, ncv):
+            w = opinv.matvec(basis[:, j])
+            pending += fill
+            size = np.linalg.norm(w)
+            rayleigh[:j + 1, j] = _orthogonalize(gemv, basis[:, :j + 1], w)
+            beta = rayleigh[j + 1, j] = np.linalg.norm(w)
+            m = j + 1
+            if m >= count and (pending >= _STOP_TEST_WORK * m**3 or m == ncv):
+                pending = 0
+                theta, coefficients = sla.eig(rayleigh[:m, :m], check_finite=False)
+                values = sigma + 1.0 / theta
+                nearest = _nearest_order(values, shift)[:count]
+                estimates = (np.linalg.norm(form @ w - sigma * w)
+                             * np.abs(coefficients[m - 1, nearest]) / np.abs(theta[nearest]))
+                if np.all(estimates <= target):
+                    chosen = coefficients[:, nearest]
+                    return values[nearest], chosen, basis[:, :m] @ chosen
+            if beta <= 1e-12 * size and m < n:
+                # OP maps the basis into itself: go on from a new direction.
+                rayleigh[j + 1, j] = 0.0
+                w = np.random.default_rng(m).standard_normal(n).astype(form.dtype)
+                _orthogonalize(gemv, basis[:, :m], w)
+                beta = np.linalg.norm(w)
+            basis[:, j + 1] = w / beta
+        # Thick restart: OP (V Q_k) = (V Q_k) T_k + f e_m^T Q_k for the
+        # leading k columns of the reordered Schur form H = Q T Q^H.  A swap
+        # that fails leaves a valid Schur form, only partly reordered.
+        t, q = sla.schur(rayleigh[:ncv, :ncv],
+                         output="complex" if np.iscomplexobj(rayleigh) else "real")
+        select = np.zeros(ncv, dtype=np.int32)
+        select[_nearest_order(sigma + 1.0 / _schur_values(t), shift)[:ask]] = 1
+        reordered = sla.get_lapack_funcs("trsen", (t,))(select, t, q, job="N")
+        t, q, kept = reordered[0], reordered[1], reordered[-4]
+        basis[:, :kept] = basis[:, :ncv] @ q[:, :kept]
+        basis[:, kept] = basis[:, ncv]
+        couplings = rayleigh[ncv, ncv - 1] * q[ncv - 1, :kept]
+        rayleigh[:] = 0.0
+        rayleigh[:kept, :kept] = t[:kept, :kept]
+        rayleigh[kept, :kept] = couplings
+    raise EigenConvergenceError(
+        f"shift-invert iteration at sigma={sigma} did not converge in "
+        f"{KRYLOV_CYCLE_LIMIT} fills of its {ncv}-vector basis",
+        ritz_values=values[nearest],
     )
 
 
@@ -385,8 +489,8 @@ def _inverse_iteration(a: MatrixLike, shift: complex, tol: float, seed: int,
     takes a few solves.  A block of two vectors, started from ``seed``, is
     solved and orthonormalized, and a 2x2 Rayleigh-Ritz step gives its Ritz
     pairs, nearest zero first.  The iteration stops once the first has a
-    residual within ``min(tol, 1e-10) * 1e-2``, the tolerance ARPACK gets
-    from :func:`eig_targeted`, or within ``tol`` and no smaller than after
+    residual within ``min(tol, 1e-10) * 1e-2``, the stop target of the
+    iteration of :func:`eig_targeted`, or within ``tol`` and no smaller than after
     the previous solve, where round-off holds it.  The second pair need not
     converge; its Ritz value is near zero only when the null space is
     degenerate.  With an ``involution`` and a real ``shift`` the LU, the
@@ -398,7 +502,7 @@ def _inverse_iteration(a: MatrixLike, shift: complex, tol: float, seed: int,
     n = m.shape[0]
     form, to_original, form_shift = _working_form(m, shift, involution, scale)
     sigma = form_shift - 1e-6 * scale
-    opinv = _shift_inverse(form, shift, sigma, scale)
+    opinv, _ = _shift_inverse(form, shift, sigma, scale)
     basis = _start_block(seed, (n, 2), form.dtype)
     target, previous = min(tol, 1e-10) * 1e-2, np.inf
     for _ in range(NULL_ITERATION_LIMIT):

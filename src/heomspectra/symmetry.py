@@ -54,7 +54,7 @@ class SymmetrySpec:
         return charge % self.group_order if self.group_order else charge
 
 
-@dataclass
+@dataclass(eq=False)
 class SectorDecomposition:
     """Partition of the vectorized basis by charge, with per-sector matrices.
 
@@ -64,7 +64,7 @@ class SectorDecomposition:
     onto itself (every charge of a Z2, charge 0 of a U(1)), the involution
     with which they run in real arithmetic.  The sector of charge 0 contains
     the physical trace covector and hence the steady state.  The matrices
-    must not change after analysis.
+    must not change after analysis.  Decompositions compare by identity.
     """
 
     liouvillian: "HeomLiouvillian"

@@ -99,3 +99,31 @@ def factorized(monkeypatch):
 
     monkeypatch.setattr(linalg, "_refined_inverse", spy)
     return calls
+
+
+@pytest.fixture
+def applications(monkeypatch):
+    """Count the vectors each ``linalg._refined_inverse`` operator is applied to.
+
+    One entry per factorization, incremented by every column the operator solves.
+    """
+    import scipy.sparse.linalg as spla
+
+    from heomspectra import linalg
+
+    counts = []
+    original = linalg._refined_inverse
+
+    def spy(a, sigma):
+        operator, fill = original(a, sigma)
+        counts.append(0)
+
+        def solve(b):
+            counts[-1] += 1 if b.ndim == 1 else b.shape[1]
+            return operator.matmat(b) if b.ndim == 2 else operator.matvec(b)
+
+        return spla.LinearOperator(operator.shape, matvec=solve, matmat=solve,
+                                   dtype=operator.dtype), fill
+
+    monkeypatch.setattr(linalg, "_refined_inverse", spy)
+    return counts

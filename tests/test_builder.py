@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -268,7 +272,6 @@ class TestPropagate:
                 propagate(liouv, short, grid)
 
     def test_step_collapse_maps_to_stiffness_error(self, qubit_decay_model, monkeypatch):
-        from heomspectra import builder as builder_module
         from heomspectra.embedding import EmbeddingSpec, initial_product_state, propagate_lm
         from heomspectra.errors import StiffnessError
 
@@ -276,7 +279,7 @@ class TestPropagate:
             success = False
             message = "step size collapsed"
 
-        monkeypatch.setattr(builder_module, "solve_ivp",
+        monkeypatch.setattr("scipy.integrate.solve_ivp",
                             lambda *args, **kwargs: FailedSolution())
         liouv = assemble(qubit_decay_model, 1)
         state = initial_state(np.eye(2) / 2, liouv.hierarchy)
@@ -285,6 +288,20 @@ class TestPropagate:
         spec = EmbeddingSpec(qubit_decay_model, (2,))
         with pytest.raises(StiffnessError, match="spectral"):
             propagate_lm(spec, initial_product_state(spec, np.eye(2) / 2), [0.0, 1.0])
+
+
+def test_import_leaves_the_integrator_unloaded():
+    # scipy.integrate is imported by the one integrator when it first runs
+    code = "import sys, heomspectra; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
+
+
+def test_generators_compare_by_identity(qubit_decay_model):
+    liouv = assemble(qubit_decay_model, 1)
+    assert liouv == liouv
+    assert (liouv == assemble(qubit_decay_model, 1)) is False
 
 
 def test_export_round_trip(tmp_path, qubit_decay_model):

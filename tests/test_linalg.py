@@ -230,6 +230,49 @@ class TestShiftInvert:
         assert list(solvable._solves) == [(suggested, 2, 1e-10, 0)]
 
 
+class TestKrylovSchur:
+    """The shift-invert iteration on z2_lmg N=10, k_max=7 at g = -2.9, sectors of dim ~2180."""
+
+    COUNT = 6
+    NCV = 36  # min(n, max(2 * (COUNT + 4) + 12, 36))
+
+    @pytest.fixture(scope="class")
+    def decomp(self):
+        return decompose(assemble(z2_lmg(10, -2.9 * 0.5, 0.5, 1.0, 1.0, 0.5), 7))
+
+    def test_restart_matches_the_dense_spectrum(self, decomp, applications):
+        solvable = decomp.solvables[1]
+        res = eig_targeted(solvable.matrix, 0.0, self.COUNT, involution=solvable.involution)
+        assert len(applications) == 1 and applications[0] > self.NCV
+        # eigenvalues of the unitarily similar real form, whose conjugate pairs are exact
+        matrix, scale = linalg._square_sparse(solvable.matrix, 1e-10)
+        real, _ = linalg._real_form(matrix, solvable.involution, scale)
+        dense = np.linalg.eigvals(real.toarray())
+        nearest = dense[linalg._nearest_order(dense, 0.0)[:self.COUNT]]
+        assert np.abs(res.eigenvalues - nearest).max() <= 1e-8
+        assert res.residual_norms.max() <= 1e-10
+
+    def test_converges_within_one_basis(self, decomp, applications):
+        solvable = decomp.solvables[0]
+        res = eig_targeted(solvable.matrix, 0.0, self.COUNT, involution=solvable.involution)
+        assert len(applications) == 1 and applications[0] <= self.NCV
+        assert res.residual_norms.max() <= 1e-10
+
+    def test_vector_condition_is_that_of_the_vectors(self, decomp):
+        for solvable in decomp.solvables.values():
+            res = eig_targeted(solvable.matrix, 0.0, self.COUNT, involution=solvable.involution)
+            assert res.vector_condition == pytest.approx(np.linalg.cond(res.right_vectors),
+                                                         rel=1e-8)
+
+    def test_capped_restarts_raise_with_ritz_values(self, decomp, monkeypatch, applications):
+        monkeypatch.setattr(linalg, "KRYLOV_CYCLE_LIMIT", 1)
+        solvable = Solvable(decomp.solvables[1].matrix, decomp.solvables[1].involution)
+        with pytest.raises(EigenConvergenceError) as info:
+            solvable.eigs(0.0, self.COUNT)
+        assert len(info.value.ritz_values) == self.COUNT
+        assert applications == [self.NCV] and solvable._solves == {}
+
+
 class TestNullIteration:
     """Block inverse iteration on one LU near zero, for the null vector."""
 

@@ -88,6 +88,12 @@ class TestDecompose:
         trace_vec = liouv.trace_covector()[decomp.sectors[0]]
         assert np.linalg.norm(decomp.sector(0).T @ np.conj(trace_vec)) <= 1e-12
 
+    def test_decompositions_compare_by_identity(self):
+        liouv = assemble(z2_lmg(4, -1.0, 0.5, 1.0, 1.0, 0.5), 2)
+        decomp = decompose(liouv)
+        assert decomp == decomp
+        assert (decomp == decompose(liouv)) is False
+
     @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (4, 3)])
     def test_block_diagonality_presets(self, n, k):
         for model in (
