@@ -38,7 +38,7 @@ from .errors import ConfigError, MatrixValidationError
 from .linalg import read_triplets
 from .models import ModelInstance, BathSpec, BathTerm, custom, lmg, two_mode_dicke, z2_lmg
 from .operators import SpinSpace, spin_operators
-from .spectra import check_properties, distinct_from_leading, spectrum, steady_state
+from .spectra import Target, check_properties, distinct_from_leading, spectrum, steady_state
 from .symmetry import SectorDecomposition, decompose, sector_leading_eigs
 from .dpt import REALNESS_GATE, fidelity, reconstruct_mixture, ssb_pair
 
@@ -397,6 +397,11 @@ class _Point:
     def decomp(self) -> SectorDecomposition:
         return decompose(self.liouv)
 
+    @property
+    def target(self) -> Target:
+        """What the gap and steady state read: the decomposition of a symmetric model."""
+        return self.decomp if self.model.symmetry is not None else self.liouv
+
 
 def _resolve_k_max(point: _Point) -> int:
     if point.config.k_max is not None:
@@ -410,11 +415,8 @@ def _resolve_k_max(point: _Point) -> int:
 
 
 def _rows_steady(point: _Point):
-    # steady_state solves a symmetric model in charge 0; passing the point's
-    # decomposition shares it with the sectors analyses.  A full solve of the
-    # generator, which the gap analysis makes for a U(1) model, is read instead.
-    target = point.decomp if point.model.symmetry is not None else point.liouv
-    state, _ = steady_state(target, **point.solver())
+    # a decomposition's steady state reads the charge-0 solve of gap and sectors
+    state, _ = steady_state(point.target, **point.solver())
     rows = []
     for name, matrix in point.observables:
         value = complex(np.trace(matrix @ state.matrix))
@@ -425,15 +427,7 @@ def _rows_steady(point: _Point):
 
 
 def _rows_gap(point: _Point):
-    # A finite symmetry group has few sectors, which the steady_state, sectors
-    # and ssb analyses solve anyway, so the gap is read from their solves.  A
-    # U(1) symmetry has tens of small sectors that together solve slower than
-    # the full generator.
-    symmetry = point.model.symmetry
-    if symmetry is not None and symmetry.group_order > 0:
-        values = spectrum(point.decomp, charge=None, **point.solver()).eigenvalues
-    else:
-        values = spectrum(point.liouv, **point.solver()).eigenvalues
+    values = spectrum(point.target, charge=None, **point.solver()).eigenvalues
     rows = [("gap", "lambda_0", values[0].real, values[0].imag)]
     rest = distinct_from_leading(values)
     if rest.size:

@@ -127,11 +127,9 @@ def broken_sector_selector(count: int = 10) -> EigSelector:
         liouv = assemble(model, k_max)
         decomp = decompose(liouv)
         leaders: List[Tuple[float, complex]] = []
-        for charge in decomp.charges_present():
+        for charge in decomp.representative_charges():
             if charge == 0:
                 continue
-            if decomp.spec.group_order == 0 and charge < 0:
-                continue  # conjugate partners mirror the positive charges
             res = sector_leading_eigs(decomp, charge, count=count)
             value = complex(res.eigenvalues[0])
             leaders.append((abs(value.real), value))

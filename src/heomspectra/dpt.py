@@ -97,7 +97,11 @@ def reconstruct_mixture(pair: PhasePair) -> PhysicalState:
 
 
 def fidelity(rho, sigma, clip_tol: float = 1e-8) -> float:
-    """Uhlmann fidelity ``Tr sqrt(sqrt(rho) sigma sqrt(rho))`` in [0, 1]."""
+    """Uhlmann fidelity ``Tr sqrt(sqrt(rho) sigma sqrt(rho))`` in [0, 1].
+
+    A sum of ``sqrt`` of clipped near-zero eigenvalues, so a round-off of
+    1e-17 moves it by about 3e-9: compare fidelities to about 1e-8.
+    """
     r = _as_matrix(rho)
     s = _as_matrix(sigma)
     if r.shape != s.shape:

@@ -562,11 +562,6 @@ class Solvable:
             self._solves[key] = solve()
         return self._solves[key]
 
-    def solved(self, shift: complex, count: int, tol: float = 1e-10,
-               seed: int = 0) -> Optional[EigResult]:
-        """The stored result of :meth:`eigs` with these arguments, or None."""
-        return self._solves.get(self._key(shift, count, tol, seed))
-
     def eigs(self, shift: complex, count: int, tol: float = 1e-10, seed: int = 0) -> EigResult:
         """:func:`eig_targeted` with the involution, ``count`` clipped to the dimension."""
         key = self._key(shift, count, tol, seed)
@@ -585,7 +580,7 @@ class Solvable:
         :class:`EigenConvergenceError` with the Ritz values.
         """
         if (self.matrix.shape[0] <= TARGETED_DENSE_FALLBACK
-                or self.solved(shift, count, tol, seed) is not None):
+                or self._key(shift, count, tol, seed) in self._solves):
             return self.eigs(shift, count, tol, seed)
         return self._once(("null", shift, tol, seed), lambda: _inverse_iteration(
             self.matrix, shift, tol, seed, self.involution))

@@ -79,10 +79,11 @@ def spectrum(
     solve of its ``solvable``; the vectors are embedded into full-space
     coordinates.
     ``charge=None`` with a decomposition gives the ``count`` nearest over all
-    its sectors, read from the sector solves without a solve of the full
-    generator.
+    its sectors, read from the solves of its representative charges
+    (:meth:`SectorDecomposition.representative_charges`) without a solve of
+    the full generator.
     """
-    if charge is None:
+    if charge is None and isinstance(target, SectorDecomposition):
         return _spectrum_over_sectors(target, count, tol, seed, shift)
     if isinstance(target, SectorDecomposition):
         res = sector_leading_eigs(target, charge, count, tol=tol, seed=seed, shift=shift)
@@ -101,29 +102,33 @@ def _spectrum_over_sectors(
 ) -> SpectralResult:
     """The ``count`` eigenvalues nearest ``shift`` over all sectors of ``decomp``.
 
-    Each sector is read through :func:`sector_leading_eigs`, so the solves
-    are shared with ``spectrum(decomp, charge, count)``, :func:`steady_state`
-    and ``ssb_pair`` on the same ``decomp``.  The nearest are kept by the
-    rule of ``eig_targeted``, which in exact arithmetic is the set a solve of
-    the full generator returns; only their vectors are embedded.
+    Each representative charge is read through :func:`sector_leading_eigs`,
+    so the solves are shared with ``spectrum(decomp, charge, count)``,
+    :func:`steady_state` and ``ssb_pair`` on the same ``decomp``; one that
+    mirrors a charge adds its conjugate values, with vectors
+    ``conj(embedded[P])``, ``P`` the generator's involution.  The nearest
+    are kept by the rule of ``eig_targeted``, which in exact arithmetic is
+    the set a solve of the full generator returns; only their vectors are
+    embedded.
     """
-    if not isinstance(decomp, SectorDecomposition):
-        raise MatrixValidationError("charge=None needs a SectorDecomposition")
     solves = []
-    for charge in decomp.charges_present():
+    for charge, mirror in decomp.representative_charges(shift).items():
         res = sector_leading_eigs(decomp, charge, count, tol=tol, seed=seed, shift=shift)
-        solves += [(charge, res, i) for i in range(res.eigenvalues.size)]
-    values = np.array([res.eigenvalues[i] for _, res, i in solves])
+        for i, value in enumerate(res.eigenvalues):
+            solves.append((value, charge, res, i, False))
+            if mirror is not None:
+                solves.append((np.conj(value), charge, res, i, True))
+    values = np.array([value for value, *_ in solves])
     keep = _nearest_order(values, shift)[:count]
     keep = keep[leading_order(values[keep])]
-    kept = [solves[j] for j in keep]
-    return SpectralResult(
-        eigenvalues=values[keep],
-        vectors=np.column_stack([decomp.embed(charge, res.right_vectors[:, i])
-                                 for charge, res, i in kept]),
-        liouvillian=decomp.liouvillian,
-        residual_norms=np.array([res.residual_norms[i] for _, res, i in kept]),
-    )
+    involution = decomp.liouvillian.solvable.involution
+    vectors, residuals = [], []
+    for _, charge, res, i, mirrored in (solves[j] for j in keep):
+        vector = decomp.embed(charge, res.right_vectors[:, i])
+        vectors.append(np.conj(vector[involution]) if mirrored else vector)
+        residuals.append(res.residual_norms[i])
+    return SpectralResult(eigenvalues=values[keep], vectors=np.column_stack(vectors),
+                          liouvillian=decomp.liouvillian, residual_norms=np.array(residuals))
 
 
 def distinct_from_leading(
@@ -178,18 +183,13 @@ def _null_vector(solvable: Solvable, count: int, tol: float, seed: int, shift: c
     """
     res = solvable.null(shift, max(count, 2), tol=tol, seed=seed)
     values = res.eigenvalues
-    near_zero = _near_zero(values)
+    near_zero = np.flatnonzero(np.abs(values) < ZERO_MULTIPLICITY_TOL)
     if near_zero.size == 0:
         raise ExtractionError(f"no eigenvalue within {ZERO_MULTIPLICITY_TOL:.1e} of zero; "
                               f"closest: {values[np.argmin(np.abs(values))]}")
     if near_zero.size > 1:
         raise DegenerateSteadyStateError(values[near_zero].tolist())
     return res.right_vectors[:, near_zero[0]]
-
-
-def _near_zero(values: np.ndarray) -> np.ndarray:
-    """Positions of the eigenvalues within :data:`ZERO_MULTIPLICITY_TOL` of zero."""
-    return np.flatnonzero(np.abs(values) < ZERO_MULTIPLICITY_TOL)
 
 
 def steady_state(
@@ -206,8 +206,9 @@ def steady_state(
     new :func:`decompose` of it, which holds the trace covector and so the
     steady state; the state is embedded back into full-space coordinates.
     That solve is stored on the new decomposition and shared with no other
-    call.  A caller that holds a decomposition should pass it instead: then
-    ``gap(decomp, charge=None)`` reads the gap from the same sector solves.  A
+    call.  A caller that holds a decomposition should pass it instead: the
+    null vector is then read from a charge-0 solve that ``spectrum(decomp)``
+    or ``gap(decomp, charge=None)`` made with the same options.  A
     near-zero eigenvalue in another sector belongs to a traceless persistent
     mode, not to a second steady state, and is not looked for.  The zero
     eigenvalue of the solved matrix must be simple within
@@ -216,11 +217,6 @@ def steady_state(
     ``charge`` is ignored for a generator; a sector of a decomposition other
     than charge 0 holds no trace, so it raises :class:`ExtractionError`
     before any solve.
-
-    A generator or decomposition is read without a solve from a ``spectrum``
-    of the full generator with the same arguments, stored in its
-    ``solvable``, whose zero eigenvalue is simple: its null vector lies in
-    charge 0.
     """
     liouv = target.liouvillian if isinstance(target, SectorDecomposition) else target
     if not isinstance(liouv, HeomLiouvillian):
@@ -228,10 +224,7 @@ def steady_state(
     if isinstance(target, SectorDecomposition) and charge != 0:
         raise ExtractionError(f"sector {charge} holds no trace, so no steady state; "
                               "the steady state lies in charge 0")
-    full = liouv.solvable.solved(shift, max(count, 2), tol, seed)
-    if full is not None and _near_zero(full.eigenvalues).size == 1:
-        target = liouv
-    elif isinstance(target, HeomLiouvillian) and target.model.symmetry is not None:
+    if isinstance(target, HeomLiouvillian) and target.model.symmetry is not None:
         target = decompose(target)
     if isinstance(target, SectorDecomposition):
         vector = target.embed(0, _null_vector(target.solvable(0), count, tol, seed, shift))
@@ -258,7 +251,8 @@ def gap(
     (within ``isolation_tol``) are skipped, so for a generator with an
     exactly degenerate null space the gap is the first genuinely decaying
     eigenvalue.  ``charge=None`` on a decomposition reads the gap over all
-    sectors from the sector solves, without a solve of the full generator.
+    sectors from the solves of its representative charges, without a solve
+    of the full generator.
     """
     result = spectrum(target, charge=charge, count=max(count, 2), tol=tol, seed=seed,
                       shift=shift)

@@ -19,7 +19,7 @@ if the declared charges are wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -76,6 +76,20 @@ class SectorDecomposition:
 
     def charges_present(self) -> List[int]:
         return sorted(self.sectors)
+
+    def representative_charges(self, shift: complex = 0.0) -> Dict[int, Optional[int]]:
+        """The charges to solve for every sector's eigenpairs nearest ``shift``.
+
+        Each maps to the charge it mirrors, or None.  The adjoint involution
+        ``J v = conj(v[P])``, ``P = liouvillian.solvable.involution``, maps
+        charge ``q`` onto ``-q``, so at a real shift ``-q`` has ``J`` of the
+        eigenpairs of ``q``, with conjugate values.  For a U(1) that leaves
+        ``q >= 0``; a finite group, or a non-real shift, solves every charge.
+        """
+        if self.spec.group_order or complex(shift).imag != 0:
+            return {charge: None for charge in self.charges_present()}
+        return {charge: -charge if charge else None
+                for charge in self.charges_present() if charge >= 0}
 
     def dimension(self, charge: int) -> int:
         return len(self.sectors[charge])

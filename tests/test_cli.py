@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from heomspectra.cli import build_model, execute_point, main, parse_config, reso
 from heomspectra.errors import ConfigError, MatrixValidationError
 from heomspectra.linalg import write_triplets
 from heomspectra.operators import qubit_operators
+from heomspectra.symmetry import decompose
 
 
 def write_config(tmp_path, **overrides):
@@ -252,29 +254,26 @@ class TestSolverOptions:
         assert values[("gap", "lambda_1")] == values[("ssb", "lambda_0[k=1]")]
         assert values[("gap", "lambda_0")] == values[("sectors", "lambda_0[k=0]")]
 
-    def test_u1_gap_solves_the_full_generator(self, tmp_path, monkeypatch):
-        dims = []
-        original = linalg.eig_targeted
-
-        def spy_dims(a, shift, count, **kwargs):
-            dims.append(a.shape[0])
-            return original(a, shift, count, **kwargs)
-
-        monkeypatch.setattr(linalg, "eig_targeted", spy_dims)
+    def _u1_point(self, tmp_path, analyses):
         config = parse_config(write_config(
             tmp_path, model="two_mode_dicke", params={"omega0": 1.0, "omega": 5.0, "kappa": 5.0},
-            N=[2], k_max=2, sweep={"parameter": "g", "grid": [1.0]}, analyses=["gap"]))
-        execute_point(config, 0, 2, 1.0)
-        assert dims == [assemble(build_model(config, 2, 1.0), 2).dim]
+            N=[4], k_max=4, sweep={"parameter": "g", "grid": [1.0]}, analyses=analyses))
+        _, rows = execute_point(config, 0, 4, 1.0)
+        decomp = decompose(assemble(build_model(config, 4, 1.0), 4))
+        # each sector q >= 0 factorized once, charge 0 in real arithmetic
+        expected = [(decomp.dimension(q), "c" if q else "f") for q in decomp.charges_present()
+                    if q >= 0 and decomp.dimension(q) > linalg.TARGETED_DENSE_FALLBACK]
+        return rows, expected
 
-    def test_u1_steady_state_reads_the_full_gap_solve(self, tmp_path, factorized):
-        config = parse_config(write_config(
-            tmp_path, model="two_mode_dicke", params={"omega0": 1.0, "omega": 5.0, "kappa": 5.0},
-            N=[2], k_max=3, sweep={"parameter": "g", "grid": [1.0]},
-            analyses=["steady_state", "gap"]))
-        _, rows = execute_point(config, 0, 2, 1.0)
-        # one real factorization of the full generator, none of charge 0
-        assert factorized == [(assemble(build_model(config, 2, 1.0), 3).dim, "f")]
+    def test_u1_gap_solves_the_charges_q_at_least_0(self, tmp_path, factorized):
+        rows, expected = self._u1_point(tmp_path, ["gap"])
+        assert factorized == expected
+        assert {row["analysis"] for row in rows} == {"gap"}
+
+    def test_u1_steady_state_reads_the_charge_0_solve(self, tmp_path, factorized):
+        rows, expected = self._u1_point(tmp_path, ["steady_state", "gap"])
+        # the steady state adds no factorization to the gap's
+        assert factorized == expected
         assert {row["analysis"] for row in rows} == {"steady_state", "gap"}
 
     def test_config_shift_reaches_the_solver(self, tmp_path, eig_calls, refined_calls):
@@ -407,6 +406,11 @@ class TestCheckpoints:
         assert run(config) == 0
         names = sorted(p.name for p in (tmp_path / "out" / "points").iterdir())
         assert names == ["point_0000.json", "point_0001.json"]
+
+    def test_package_version_is_the_project_version(self):
+        # checkpoints are keyed by __version__, so it must follow each release
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        assert re.search(r'^version = "(.*)"$', pyproject, re.M).group(1) == __version__
 
 
 def run_cli(tmp_path, config_path):

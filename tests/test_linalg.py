@@ -175,7 +175,10 @@ class TestEigTargeted:
             solvable.eigs(0.0, 2)
         assert info.value.shift == 0.0 and info.value.suggested_shift != 0.0
         assert refined_calls == [0.0]
-        assert solvable.solved(0.0, 2) is None
+        # a failed solve is not stored, so a second one factorizes again
+        with pytest.raises(SingularShiftError):
+            solvable.eigs(0.0, 2)
+        assert refined_calls == [0.0, 0.0]
 
 
 class TestShiftInvert:

@@ -185,7 +185,8 @@ class TestSpectrumOverSectors:
     @pytest.mark.parametrize("model, k_max", [
         (lmg(6, 0.3, 1.0, 1.0, 1.0), 4),
         (z2_lmg(8, -1.45, 0.5, 1.0, 1.0, 0.5), 2),
-    ], ids=["lmg", "z2_lmg"])
+        (two_mode_dicke(4, 1.0, 1.0, 5.0, 5.0), 4),
+    ], ids=["lmg", "z2_lmg", "two_mode_dicke"])
     def test_matches_the_full_solve(self, model, k_max):
         liouv = assemble(model, k_max)
         sectors = spectrum(decompose(liouv), charge=None, count=6)
@@ -196,11 +197,34 @@ class TestSpectrumOverSectors:
         assert residuals.max() <= 1e-10
         assert gap(decompose(liouv), charge=None) == pytest.approx(gap(liouv), abs=1e-10)
 
-    def test_needs_a_decomposition(self):
+    def test_a_generator_ignores_charge_none(self):
         liouv = assemble(lmg(2, 0.3, 1.0, 1.0, 1.0), 2)
-        with pytest.raises(MatrixValidationError):
-            spectrum(liouv, charge=None, count=6)
+        full = spectrum(liouv, count=6)
+        assert np.array_equal(spectrum(liouv, charge=None, count=6).eigenvalues, full.eigenvalues)
         assert spectrum(decompose(liouv), charge=None).eigenvalues.size == 6  # count defaults to 6
+
+    def test_u1_solves_the_charges_q_at_least_0(self, factorized):
+        from heomspectra.linalg import TARGETED_DENSE_FALLBACK
+
+        decomp = decompose(assemble(two_mode_dicke(4, 1.0, 1.0, 5.0, 5.0), 4))
+        kept = [q for q in decomp.charges_present() if q >= 0]
+        assert decomp.representative_charges() == {q: -q if q else None for q in kept}
+        spectrum(decomp, charge=None, count=6)
+        solved = [q for q in decomp.charges_present() if decomp.solvable(q)._solves]
+        assert solved == kept
+        # charge 0 in real arithmetic, each q > 0 in complex, no full generator
+        assert factorized == [(decomp.dimension(q), "c" if q else "f") for q in kept
+                              if decomp.dimension(q) > TARGETED_DENSE_FALLBACK]
+
+    def test_a_non_real_shift_solves_every_charge(self):
+        liouv = assemble(two_mode_dicke(4, 1.0, 1.0, 5.0, 5.0), 2)
+        decomp = decompose(liouv)
+        shift = -0.1 + 0.5j
+        assert decomp.representative_charges(shift) == dict.fromkeys(decomp.charges_present())
+        sectors = spectrum(decomp, charge=None, count=6, shift=shift)
+        assert all(decomp.solvable(q)._solves for q in decomp.charges_present())
+        full = spectrum(liouv, count=6, shift=shift)
+        assert np.abs(sectors.eigenvalues - full.eigenvalues).max() <= 1e-10
 
 
 class TestExpectation:
