@@ -2,9 +2,10 @@
 
 A JSON config selects a model, a list of sizes, a sweep grid and a list of
 analyses; results land in ``results.csv`` with one row per (size, grid point,
-analysis, key).  Grid points are independent jobs: each one is checkpointed
-to its own fragment file so long sweeps can be resumed, and a failing point
-is recorded without aborting the sweep.
+analysis, key).  Each grid point runs in its own forked child, at most
+``workers`` at once, and is checkpointed to its own fragment file so long
+sweeps can be resumed.  A point that raises is checkpointed with its error; a
+child that dies fails only its point (exit 1), and a rerun recomputes it.
 
 The config schema is :data:`CONFIG_FIELDS` and the tables it nests; the CLI
 section of the README documents each field and gives an example.  Matrix
@@ -15,13 +16,15 @@ re im`` per line, zero-based).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import hashlib
+import itertools
 import json
 import logging
 import math
+import multiprocessing.connection
 import os
+import signal
 import sys
 import time
 from dataclasses import dataclass, field
@@ -567,29 +570,26 @@ def execute_point(config: RunConfig, index: int, size: int, sweep_value: float):
     return index, rows
 
 
-def _point_worker(args):
-    config, index, size, value = args
+def _describe(job, message: str) -> str:
+    config, index, size, value = job
+    return f"point {index} (N={size}, {config.sweep_parameter}={value}): {message}"
+
+
+def _point_worker(job):
     try:
-        return execute_point(config, index, size, value), None
+        return execute_point(*job), None
     except Exception as exc:  # crash isolation: record and continue
-        return (index, []), f"point {index} (N={size}, {config.sweep_parameter}={value}): {exc}"
+        return (job[1], []), _describe(job, str(exc))
+
+
+def _child(job, writer) -> None:
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its children
+    writer.send(_point_worker(job))
 
 
 def _format_row(row: dict) -> str:
-    return ",".join(
-        [
-            row["run_id"],
-            row["model"],
-            str(row["N"]),
-            str(row["k_max"]),
-            row["sweep_param"],
-            f"{row['sweep_value']:.17g}",
-            row["analysis"],
-            row["key"],
-            f"{row['re_value']:.17g}",
-            f"{row['im_value']:.17g}",
-        ]
-    )
+    return ",".join(f"{row[name]:.17g}" if name in ("sweep_value", "re_value", "im_value")
+                    else str(row[name]) for name in CSV_COLUMNS.split(","))
 
 
 def _load_fragment(fragment: Path) -> Optional[dict]:
@@ -613,17 +613,12 @@ def run(config: RunConfig) -> int:
     points_dir = out_dir / "points"
     points_dir.mkdir(parents=True, exist_ok=True)
 
-    points = [
-        (index, size, value)
-        for index, (size, value) in enumerate(
-            (size, value) for size in config.sizes for value in config.sweep_grid
-        )
-    ]
+    points = list(enumerate(itertools.product(config.sizes, config.sweep_grid)))
     results: Dict[int, List[dict]] = {}
-    failures: List[str] = []
+    failures: Dict[int, str] = {}
 
     pending = []
-    for index, size, value in points:
+    for index, (size, value) in points:
         payload = _load_fragment(points_dir / f"point_{index:04d}.json")
         if payload is not None:
             if payload.get("config_hash") != config.config_hash:
@@ -633,7 +628,7 @@ def run(config: RunConfig) -> int:
                          index, payload.get("version"), __version__)
             else:
                 if payload.get("error"):
-                    failures.append(payload["error"])
+                    failures[index] = payload["error"]
                 results[index] = payload["rows"]
                 log.info("point %d restored from checkpoint", index)
                 continue
@@ -642,8 +637,10 @@ def run(config: RunConfig) -> int:
     def _record(outcome, error):
         (index, rows), fragment = outcome, points_dir / f"point_{outcome[0]:04d}.json"
         if error:
-            failures.append(error)
+            failures[index] = error
             log.warning("%s", error)
+        if rows is None:  # the point's child died: no fragment, so a rerun computes it
+            return
         results[index] = rows
         # Write then rename, so a crash never leaves a partial fragment behind.
         partial = fragment.with_name(fragment.name + ".tmp")
@@ -656,13 +653,36 @@ def run(config: RunConfig) -> int:
         )
         os.replace(partial, fragment)
 
-    if config.workers > 1 and len(pending) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for outcome, error in pool.map(_point_worker, pending):
-                _record(outcome, error)
-    else:
-        for job in pending:
-            _record(*_point_worker(job))
+    # a spawned child imports numpy and scipy again, as costly as a small point
+    context = multiprocessing.get_context("fork" if hasattr(os, "fork") else "spawn")
+    running = {}  # the read end of each child's pipe -> (process, job)
+    try:
+        while pending or running:
+            while pending and len(running) < config.workers:
+                job = pending.pop(0)
+                reader, writer = context.Pipe(duplex=False)
+                process = context.Process(target=_child, args=(job, writer))
+                process.start()
+                writer.close()  # so the reader sees EOF once the child is gone
+                running[reader] = process, job
+            for reader in multiprocessing.connection.wait(list(running)):
+                process, job = running.pop(reader)
+                try:
+                    outcome = reader.recv()
+                except (EOFError, OSError):  # the child died before its message was whole
+                    outcome = None
+                reader.close()
+                process.join()
+                if outcome is None:
+                    code = process.exitcode
+                    death = f"signal {-code}" if code < 0 else f"exit status {code}"
+                    outcome = (job[1], None), _describe(job, f"worker died with {death}")
+                _record(*outcome)
+    finally:
+        for reader, (process, _) in running.items():
+            process.terminate()
+            process.join()
+            reader.close()
 
     lines = [
         "# heomspectra results",
@@ -679,8 +699,8 @@ def run(config: RunConfig) -> int:
 
     if failures:
         print(f"{len(failures)} of {len(points)} points failed:", file=sys.stderr)
-        for failure in failures:
-            print(f"  {failure}", file=sys.stderr)
+        for index in sorted(failures):
+            print(f"  {failures[index]}", file=sys.stderr)
         return 1
     log.info("wrote %s", out_dir / "results.csv")
     return 0
@@ -693,7 +713,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", help="output directory (overrides the config)")
-    parser.add_argument("--workers", type=int, help="worker pool size (overrides the config)")
+    parser.add_argument("--workers", type=int, help="grid points run at once (overrides the config)")
     parser.add_argument("--verbose", action="store_true", help="enable progress logging")
     args = parser.parse_args(argv)
 

@@ -45,13 +45,13 @@ def _as_matrix(state) -> np.ndarray:
     return state.matrix if isinstance(state, PhysicalState) else as_dense(state)
 
 
-def split_phases(rho1, drop_tol: float = SPLIT_DROP_TOL) -> PhasePair:
+def split_phases(rho1) -> PhasePair:
     """Split a traceless Hermitian matrix by eigenvalue sign into two states.
 
     Positive eigenvalues are gathered into ``rho_plus`` and negative ones into
     ``rho_minus`` (sign flipped), each trace-normalized; eigenvalues below
-    ``drop_tol`` in magnitude are assigned to neither.  The parts live on
-    orthogonal eigenspaces, so their overlap vanishes by construction.
+    :data:`SPLIT_DROP_TOL` in magnitude are assigned to neither.  The parts
+    live on orthogonal eigenspaces, so their overlap vanishes by construction.
     """
     m = _as_matrix(rho1)
     defect = float(np.abs(m - m.conj().T).max())
@@ -65,8 +65,8 @@ def split_phases(rho1, drop_tol: float = SPLIT_DROP_TOL) -> PhasePair:
     if abs(trace) > 1e-6:
         raise MatrixValidationError(f"phase split needs a traceless input, trace {trace}")
     w, u = np.linalg.eigh((m + m.conj().T) / 2)
-    pos = w > drop_tol
-    neg = w < -drop_tol
+    pos = w > SPLIT_DROP_TOL
+    neg = w < -SPLIT_DROP_TOL
     if not pos.any() or not neg.any():
         raise PhaseSplitError(
             "eigenvalues of the input do not change sign; no phase pair exists"
@@ -138,36 +138,34 @@ def hermitian_phase(block: np.ndarray) -> Tuple[np.ndarray, float]:
 def ssb_pair(
     decomp: SectorDecomposition,
     frequency_scale: float,
-    broken_charge: int = 1,
     count: int = 8,
     tol: float = 1e-10,
     seed: int = 0,
     shift: complex = 0.0,
 ) -> PhasePair:
-    """Symmetry-broken pair from the leading eigenvector of a broken sector.
+    """Symmetry-broken pair from the leading eigenvector of the broken sector.
 
-    Requires a two-sector (order-2) decomposition whose non-steady sector has
-    a real leading eigenvalue: ``|Im| / frequency_scale`` must pass the gate
-    :data:`REALNESS_GATE`, otherwise finite-size effects make the pair
-    ill-defined and :class:`RealnessGateError` is raised.  The eigenvector's
-    global phase is fixed by hermitizing its physical block (its trace
-    vanishes for decaying eigenvectors, so a trace-based phase is degenerate),
-    its remaining sign by :func:`_canonical_sign`, so the labels do not follow
-    the sign the eigensolver returns; the block is then scaled to unit trace
-    norm and split by eigenvalue sign.
+    Requires a two-sector (order-2) decomposition whose non-steady sector,
+    charge 1, has a real leading eigenvalue: ``|Im| / frequency_scale`` must
+    pass the gate :data:`REALNESS_GATE`, otherwise finite-size effects make
+    the pair ill-defined and :class:`RealnessGateError` is raised.  The
+    eigenvector's global phase is fixed by hermitizing its physical block (its
+    trace vanishes for decaying eigenvectors, so a trace-based phase is
+    degenerate), its remaining sign by :func:`_canonical_sign`, so the labels
+    do not follow the sign the eigensolver returns; the block is then scaled
+    to unit trace norm and split by eigenvalue sign.
     """
     if decomp.spec.group_order != 2:
         raise MatrixValidationError(
             "the symmetry-broken pair construction needs an order-2 symmetry"
         )
-    leading = sector_leading_eigs(decomp, broken_charge, count=count, tol=tol, seed=seed,
-                                  shift=shift)
+    leading = sector_leading_eigs(decomp, 1, count=count, tol=tol, seed=seed, shift=shift)
     value = complex(leading.eigenvalues[0])
     ratio = abs(value.imag) / frequency_scale
     if ratio >= REALNESS_GATE:
         raise RealnessGateError(value, ratio, REALNESS_GATE)
     liouv = decomp.liouvillian
-    vector = decomp.embed(broken_charge, leading.right_vectors[:, 0])
+    vector = decomp.embed(1, leading.right_vectors[:, 0])
     block = HeomState(vector, liouv.hierarchy, liouv.d_s).physical()
     rotated, defect = hermitian_phase(block)
     rotated = rotated * _canonical_sign(rotated)

@@ -193,7 +193,6 @@ def steady_state_lm(
     tol: float = 1e-10,
     seed: int = 0,
     shift: complex = 0.0,
-    matrix: Optional[sp.csr_matrix] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Stationary state of the embedding: (full matrix, reduced system matrix).
 
@@ -206,7 +205,7 @@ def steady_state_lm(
     and maps charge 0 onto itself, so the solve runs in real arithmetic as in
     the hierarchy picture.
     """
-    lm = build_lm(spec) if matrix is None else matrix
+    lm = build_lm(spec)
     dim = spec.hilbert_dim
     solvable = Solvable(lm, np.arange(dim * dim).reshape(dim, dim).T.ravel())
     if spec.model.symmetry is None:
@@ -225,11 +224,9 @@ def propagate_lm(
     t_grid: Sequence[float],
     rtol: float = 1e-9,
     atol: float = 1e-11,
-    matrix: Optional[sp.csr_matrix] = None,
 ) -> np.ndarray:
     """Propagate the vectorized composite state; returns one column per time."""
-    lm = build_lm(spec) if matrix is None else matrix
-    return _integrate(lm, rho0_vec, t_grid, rtol, atol)
+    return _integrate(build_lm(spec), rho0_vec, t_grid, rtol, atol)
 
 
 def correlation_check(

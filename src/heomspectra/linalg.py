@@ -71,12 +71,12 @@ def as_dense(a: MatrixLike) -> np.ndarray:
     return out
 
 
-def clean_sparse(a: MatrixLike, prune_tol: float = SPARSE_PRUNE_TOL) -> sp.csr_matrix:
+def clean_sparse(a: MatrixLike) -> sp.csr_matrix:
     """Canonicalize to CSR: sum duplicates, purge tiny entries, sort indices."""
     m = sp.csr_matrix(a, dtype=complex)
     m.sum_duplicates()
     if m.nnz:
-        mask = np.abs(m.data) < prune_tol
+        mask = np.abs(m.data) < SPARSE_PRUNE_TOL
         if mask.any():
             m.data[mask] = 0.0
             m.eliminate_zeros()

@@ -1,7 +1,9 @@
 import json
 import logging
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -413,14 +415,90 @@ class TestCheckpoints:
         assert re.search(r'^version = "(.*)"$', pyproject, re.M).group(1) == __version__
 
 
-def run_cli(tmp_path, config_path):
-    """Run the CLI as a subprocess on ``config_path``."""
+def run_cli(tmp_path, config_path, entry=("-m", "heomspectra.cli")):
+    """Run the CLI as a subprocess on ``config_path``; ``entry`` starts it."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     return subprocess.run(
-        [sys.executable, "-m", "heomspectra.cli", "--config", str(config_path)],
+        [sys.executable, *entry, "--config", str(config_path)],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
+
+
+THREE_POINTS = {"parameter": "g", "grid": [0.2, 0.35, 0.5]}
+# The CLI with point 1 killed the way the kernel's out-of-memory killer would.
+KILL_POINT_1 = """
+import os, signal, sys
+from heomspectra import cli
+
+execute_point = cli.execute_point
+
+def kill_point_1(config, index, size, value):
+    if index == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return execute_point(config, index, size, value)
+
+cli.execute_point = kill_point_1
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestDeadWorker:
+    @staticmethod
+    def _check_sweep(out, status, stderr):
+        assert status == 1
+        assert "point 1 (N=4, g=0.35): worker died with signal 9" in stderr
+        assert "Traceback" not in stderr
+        assert {row["run_id"][-4:] for row in read_rows(out)} == {"0000", "0002"}
+        # no fragment for the dead point, so a rerun computes it
+        names = sorted(p.name for p in (out / "points").iterdir())
+        assert names == ["point_0000.json", "point_0002.json"]
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def _check_rerun(tmp_path, monkeypatch):
+        computed = tmp_path / "computed"
+
+        def record(config, index, size, value):
+            with computed.open("a") as file:  # written by the point's child process
+                file.write(f"{index}\n")
+            return execute_point(config, index, size, value)
+
+        monkeypatch.setattr(cli, "execute_point", record)
+        assert run(parse_config(tmp_path / "config.json")) == 0
+        assert computed.read_text() == "1\n"
+        assert {row["run_id"][-4:] for row in read_rows(tmp_path / "out")} == {
+            "0000", "0001", "0002"}
+
+    def test_workers_2_fail_only_the_dead_point(self, tmp_path, monkeypatch, capsys):
+        def kill_point_1(config, index, size, value):
+            if index == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return execute_point(config, index, size, value)
+
+        config = parse_config(write_config(tmp_path, sweep=THREE_POINTS, workers=2))
+        monkeypatch.setattr(cli, "execute_point", kill_point_1)
+        status = run(config)
+        self._check_sweep(tmp_path / "out", status, capsys.readouterr().err)
+        self._check_rerun(tmp_path, monkeypatch)
+
+    def test_workers_1_fail_only_the_dead_point(self, tmp_path, monkeypatch):
+        # at workers 1 the point runs in a child too, not in the CLI's process
+        config_path = write_config(tmp_path, sweep=THREE_POINTS, workers=1)
+        proc = run_cli(tmp_path, config_path, entry=("-c", KILL_POINT_1))
+        self._check_sweep(tmp_path / "out", proc.returncode, proc.stderr)
+        self._check_rerun(tmp_path, monkeypatch)
+
+    def test_workers_2_write_the_results_of_workers_1(self, tmp_path):
+        config_path = write_config(tmp_path, sweep=THREE_POINTS, analyses=["steady_state", "gap"])
+        texts = []
+        for workers in (1, 2):
+            out = tmp_path / f"out{workers}"
+            assert main(["--config", str(config_path), "--workers", str(workers),
+                         "--out", str(out)]) == 0
+            texts.append(strip_generated((out / "results.csv").read_text()))
+        assert texts[0] == texts[1]
+        assert len({row["run_id"] for row in read_rows(tmp_path / "out2")}) == 3
 
 
 LMG_PARAMS = {"gamma": 1.0, "kappa": 1.0, "omega": 1.0}
