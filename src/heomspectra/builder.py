@@ -33,8 +33,11 @@ from .hierarchy import HierarchySpace, enumerate_indices
 from .linalg import Solvable, clean_sparse, devectorize, kron, vectorize, write_triplets
 from .models import ModelInstance
 
-#: Largest stacked dimension assemble() will build by default.
+#: Largest stacked dimension assemble() will build.
 DEFAULT_DIMENSION_BUDGET = 2_000_000
+#: Relative and absolute tolerances of the time integrator (:func:`_integrate`).
+INTEGRATION_RTOL = 1e-9
+INTEGRATION_ATOL = 1e-11
 
 
 @dataclass(eq=False)
@@ -106,20 +109,16 @@ def _mode_decays(model: ModelInstance) -> np.ndarray:
     )
 
 
-def assemble(
-    model: ModelInstance,
-    k_max: int,
-    dimension_budget: int = DEFAULT_DIMENSION_BUDGET,
-) -> HeomLiouvillian:
+def assemble(model: ModelInstance, k_max: int) -> HeomLiouvillian:
     """Assemble the sparse generator for a model at truncation order ``k_max``."""
     n_modes = model.mode_count
     space = enumerate_indices(n_modes, k_max)
     d = model.dim
     d2 = d * d
     dim = len(space) * d2
-    if dim > dimension_budget:
+    if dim > DEFAULT_DIMENSION_BUDGET:
         raise SizeBudgetError(
-            f"stacked dimension {dim} exceeds the budget {dimension_budget}"
+            f"stacked dimension {dim} exceeds the budget {DEFAULT_DIMENSION_BUDGET}"
         )
 
     identity = sp.identity(d, dtype=complex, format="csr")
@@ -213,13 +212,11 @@ def initial_state(rho_s: np.ndarray, hierarchy: HierarchySpace) -> HeomState:
     return HeomState(vector, hierarchy, d)
 
 
-def _integrate(
-    matrix: sp.spmatrix, y0: np.ndarray, t_grid: Sequence[float], rtol: float, atol: float
-) -> np.ndarray:
+def _integrate(matrix: sp.spmatrix, y0: np.ndarray, t_grid: Sequence[float]) -> np.ndarray:
     """Solve ``dy/dt = matrix @ y`` on an ascending grid from 0; one column per time.
 
     The one time integrator of the package, shared by the hierarchy and the
-    embedding pictures.
+    embedding pictures, at :data:`INTEGRATION_RTOL` and :data:`INTEGRATION_ATOL`.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.size == 0 or abs(t[0]) > 0:
@@ -241,8 +238,8 @@ def _integrate(
         y0,
         method="DOP853",
         t_eval=t,
-        rtol=rtol,
-        atol=atol,
+        rtol=INTEGRATION_RTOL,
+        atol=INTEGRATION_ATOL,
     )
     if not solution.success:
         raise StiffnessError(
@@ -253,14 +250,10 @@ def _integrate(
 
 
 def propagate(
-    liouvillian: HeomLiouvillian,
-    state0: HeomState,
-    t_grid: Sequence[float],
-    rtol: float = 1e-9,
-    atol: float = 1e-11,
+    liouvillian: HeomLiouvillian, state0: HeomState, t_grid: Sequence[float]
 ) -> List[HeomState]:
     """Solve the linear hierarchy dynamics on an ascending time grid from 0."""
-    columns = _integrate(liouvillian.matrix, state0.vector, t_grid, rtol, atol)
+    columns = _integrate(liouvillian.matrix, state0.vector, t_grid)
     return [
         HeomState(columns[:, i], liouvillian.hierarchy, liouvillian.d_s)
         for i in range(columns.shape[1])

@@ -3,8 +3,9 @@
 A JSON config selects a model, a list of sizes, a sweep grid and a list of
 analyses; results land in ``results.csv`` with one row per (size, grid point,
 analysis, key).  Each grid point runs in its own forked child, at most
-``workers`` at once, and is checkpointed to its own fragment file so long
-sweeps can be resumed.  A point that raises is checkpointed with its error; a
+``workers`` at once and never more than the usable cores (the CPU affinity
+of the process), and is checkpointed to its own fragment file so long sweeps
+can be resumed.  A point that raises is checkpointed with its error; a
 child that dies fails only its point (exit 1), and a rerun recomputes it.
 
 The config schema is :data:`CONFIG_FIELDS` and the tables it nests; the CLI
@@ -655,10 +656,14 @@ def run(config: RunConfig) -> int:
 
     # a spawned child imports numpy and scipy again, as costly as a small point
     context = multiprocessing.get_context("fork" if hasattr(os, "fork") else "spawn")
+    # children beyond the usable cores would only contend for them
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    slots = min(config.workers, cores)
     running = {}  # the read end of each child's pipe -> (process, job)
     try:
         while pending or running:
-            while pending and len(running) < config.workers:
+            while pending and len(running) < slots:
                 job = pending.pop(0)
                 reader, writer = context.Pipe(duplex=False)
                 process = context.Process(target=_child, args=(job, writer))
@@ -713,7 +718,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", help="output directory (overrides the config)")
-    parser.add_argument("--workers", type=int, help="grid points run at once (overrides the config)")
+    parser.add_argument("--workers", type=int,
+                        help="grid points run at once, at most the usable cores "
+                             "(overrides the config)")
     parser.add_argument("--verbose", action="store_true", help="enable progress logging")
     args = parser.parse_args(argv)
 

@@ -22,7 +22,7 @@ from .errors import (
     PhaseSplitError,
     RealnessGateError,
 )
-from .linalg import as_dense, herm_sqrt
+from .linalg import PSD_CLIP_TOL, as_dense, herm_sqrt
 from .spectra import PhysicalState
 from .symmetry import SectorDecomposition, sector_leading_eigs
 
@@ -96,21 +96,24 @@ def reconstruct_mixture(pair: PhasePair) -> PhysicalState:
     )
 
 
-def fidelity(rho, sigma, clip_tol: float = 1e-8) -> float:
+def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity ``Tr sqrt(sqrt(rho) sigma sqrt(rho))`` in [0, 1].
 
-    A sum of ``sqrt`` of clipped near-zero eigenvalues, so a round-off of
-    1e-17 moves it by about 3e-9: compare fidelities to about 1e-8.
+    Eigenvalues of ``rho`` and of the inner product down to
+    ``-PSD_CLIP_TOL`` are clipped to 0; a more negative one raises
+    :class:`NotPositiveSemidefiniteError`.  A sum of ``sqrt`` of clipped
+    near-zero eigenvalues, so a round-off of 1e-17 moves it by about 3e-9:
+    compare fidelities to about 1e-8.
     """
     r = _as_matrix(rho)
     s = _as_matrix(sigma)
     if r.shape != s.shape:
         raise MatrixValidationError("fidelity arguments must have equal shapes")
-    root = herm_sqrt(r, clip_tol=clip_tol)
+    root = herm_sqrt(r)
     inner = root @ s @ root
     w = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
-    if w.size and w.min() < -clip_tol:
-        raise NotPositiveSemidefiniteError(float(w.min()), clip_tol)
+    if w.size and w.min() < -PSD_CLIP_TOL:
+        raise NotPositiveSemidefiniteError(float(w.min()), PSD_CLIP_TOL)
     value = float(np.sqrt(np.clip(w, 0.0, None)).sum())
     if value > 1.0 + 1e-6:
         raise MatrixValidationError(f"fidelity {value} exceeds 1 beyond tolerance")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,7 +27,7 @@ from .models import ModelInstance
 from .spectra import _null_vector, canonical_physical_state
 from .symmetry import _sector_charges
 
-#: Largest superoperator dimension the embedding will build by default.
+#: Largest superoperator dimension the embedding will build.
 DEFAULT_EMBEDDING_BUDGET = 1_500_000
 
 
@@ -122,16 +122,16 @@ def total_hamiltonian(spec: EmbeddingSpec) -> sp.csr_matrix:
     return clean_sparse(h)
 
 
-def build_lm(spec: EmbeddingSpec, budget: int = DEFAULT_EMBEDDING_BUDGET) -> sp.csr_matrix:
+def build_lm(spec: EmbeddingSpec) -> sp.csr_matrix:
     """Vectorized generator of the enlarged Markovian dynamics.
 
     ``-1j (H (x) 1 - 1 (x) H^T) + sum_p kappa_p (2 a (x) conj(a)
     - a^dag a (x) 1 - 1 (x) (a^dag a)^T)`` on the composite space.
     """
     dim = spec.hilbert_dim
-    if dim * dim > budget:
+    if dim * dim > DEFAULT_EMBEDDING_BUDGET:
         raise SizeBudgetError(
-            f"superoperator dimension {dim * dim} exceeds the budget {budget}"
+            f"superoperator dimension {dim * dim} exceeds the budget {DEFAULT_EMBEDDING_BUDGET}"
         )
     identity = sp.identity(dim, dtype=complex, format="csr")
     h = total_hamiltonian(spec)
@@ -218,15 +218,9 @@ def steady_state_lm(
     return state.matrix, reduced_system_state(spec, vectorize(state.matrix))
 
 
-def propagate_lm(
-    spec: EmbeddingSpec,
-    rho0_vec: np.ndarray,
-    t_grid: Sequence[float],
-    rtol: float = 1e-9,
-    atol: float = 1e-11,
-) -> np.ndarray:
+def propagate_lm(spec: EmbeddingSpec, rho0_vec: np.ndarray, t_grid: Sequence[float]) -> np.ndarray:
     """Propagate the vectorized composite state; returns one column per time."""
-    return _integrate(build_lm(spec), rho0_vec, t_grid, rtol, atol)
+    return _integrate(build_lm(spec), rho0_vec, t_grid)
 
 
 def correlation_check(
@@ -273,23 +267,16 @@ def correlation_check(
 
 
 def dimension_report(
-    model: ModelInstance,
-    k_max: int,
-    cutoff_rule: Optional[Union[int, Callable[[int], int]]] = None,
+    model: ModelInstance, k_max: int, cutoff_rule: Optional[int] = None
 ) -> Dict[str, float]:
     """Compare generator dimensions of the two pictures.
 
-    ``cutoff_rule`` maps the truncation order to a Fock cutoff (default: the
-    identity, since computing the same mode correlations requires at least
-    ``N_c = k_max``).  The embedding dimension is the superoperator dimension
+    ``cutoff_rule`` is the Fock cutoff ``N_c`` (default ``k_max``, since
+    computing the same mode correlations requires at least ``N_c = k_max``).
+    The embedding dimension is the superoperator dimension
     ``d_s^2 * prod (N_c + 1)^2``.
     """
-    if cutoff_rule is None:
-        n_c = k_max
-    elif callable(cutoff_rule):
-        n_c = int(cutoff_rule(k_max))
-    else:
-        n_c = int(cutoff_rule)
+    n_c = k_max if cutoff_rule is None else int(cutoff_rule)
     m_count = model.mode_count
     d2 = model.dim**2
     dim_heom = hierarchy_count(m_count, k_max) * d2

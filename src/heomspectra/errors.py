@@ -6,7 +6,7 @@ class MatrixValidationError(ValueError):
 
 
 class SizeBudgetError(RuntimeError):
-    """A requested object would exceed the configured size or memory budget."""
+    """A requested object would exceed a size or memory budget."""
 
 
 class SingularShiftError(RuntimeError):

@@ -17,7 +17,7 @@ from .errors import MatrixValidationError, SizeBudgetError
 
 FlatIndex = Tuple[int, ...]
 
-#: Refuse to enumerate more indices than this by default.
+#: Refuse to enumerate more indices than this.
 DEFAULT_INDEX_BUDGET = 2_000_000
 
 
@@ -91,13 +91,11 @@ class HierarchySpace:
         return self._rank.get(shifted)
 
 
-def enumerate_indices(
-    n_modes: int, k_max: int, index_budget: int = DEFAULT_INDEX_BUDGET
-) -> HierarchySpace:
+def enumerate_indices(n_modes: int, k_max: int) -> HierarchySpace:
     """Enumerate all indices under the triangular cut, in lexicographic order."""
     total = count(n_modes, k_max)
-    if total > index_budget:
+    if total > DEFAULT_INDEX_BUDGET:
         raise SizeBudgetError(
-            f"{total} indices exceed the enumeration budget {index_budget}"
+            f"{total} indices exceed the enumeration budget {DEFAULT_INDEX_BUDGET}"
         )
     return HierarchySpace(n_modes, k_max, _compositions(2 * n_modes, k_max))

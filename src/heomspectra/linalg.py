@@ -57,6 +57,8 @@ _STOP_TEST_WORK = 5
 #: connecting different charges, and, relative to the largest entry, of the
 #: imaginary part of an entry of a real form (:func:`_real_form`).
 OFF_SECTOR_TOL = 1e-12
+#: Eigenvalues of a PSD matrix down to minus this are round-off, clipped to 0.
+PSD_CLIP_TOL = 1e-8
 
 
 def as_dense(a: MatrixLike) -> np.ndarray:
@@ -597,8 +599,8 @@ class Solvable:
         return Solvable(matrix, np.searchsorted(members, self.involution[members]))
 
 
-def herm_sqrt(a: MatrixLike, clip_tol: float = 1e-12) -> np.ndarray:
-    """Hermitian PSD square root with clipping of tiny negative eigenvalues."""
+def herm_sqrt(a: MatrixLike) -> np.ndarray:
+    """Hermitian PSD square root; eigenvalues down to ``-PSD_CLIP_TOL`` are clipped to 0."""
     m = as_dense(a)
     defect = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
     if defect > 1e-10:
@@ -607,8 +609,8 @@ def herm_sqrt(a: MatrixLike, clip_tol: float = 1e-12) -> np.ndarray:
         )
     h = (m + m.conj().T) / 2
     w, u = np.linalg.eigh(h)
-    if w.size and w.min() < -clip_tol:
-        raise NotPositiveSemidefiniteError(float(w.min()), clip_tol)
+    if w.size and w.min() < -PSD_CLIP_TOL:
+        raise NotPositiveSemidefiniteError(float(w.min()), PSD_CLIP_TOL)
     w = np.clip(w, 0.0, None)
     s = (u * np.sqrt(w)) @ u.conj().T
     return (s + s.conj().T) / 2

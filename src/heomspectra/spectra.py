@@ -131,17 +131,16 @@ def _spectrum_over_sectors(
                           liouvillian=decomp.liouvillian, residual_norms=np.array(residuals))
 
 
-def distinct_from_leading(
-    values: np.ndarray, isolation_tol: float = ZERO_MULTIPLICITY_TOL
-) -> np.ndarray:
+def distinct_from_leading(values: np.ndarray) -> np.ndarray:
     """The eigenvalues after the first that are not degenerate with it.
 
-    ``values`` is in the canonical ordering; entries within ``isolation_tol``
-    of ``values[0]`` are skipped and the rest keep their order.
+    ``values`` is in the canonical ordering; entries within
+    :data:`ZERO_MULTIPLICITY_TOL` of ``values[0]`` are skipped and the rest
+    keep their order.
     """
     values = np.asarray(values)
     rest = values[1:]
-    return rest[np.abs(rest - values[0]) > isolation_tol]
+    return rest[np.abs(rest - values[0]) > ZERO_MULTIPLICITY_TOL]
 
 
 def canonical_physical_state(block: np.ndarray) -> Tuple[PhysicalState, complex]:
@@ -241,16 +240,15 @@ def gap(
     count: int = 6,
     tol: float = 1e-10,
     seed: int = 0,
-    isolation_tol: float = ZERO_MULTIPLICITY_TOL,
     shift: complex = 0.0,
 ) -> complex:
     """First eigenvalue beyond the stationary one, in the canonical ordering.
 
     It is read from the ``max(count, 2)`` eigenvalues of :func:`spectrum`
     with the same arguments.  Eigenvalues degenerate with the leading one
-    (within ``isolation_tol``) are skipped, so for a generator with an
-    exactly degenerate null space the gap is the first genuinely decaying
-    eigenvalue.  ``charge=None`` on a decomposition reads the gap over all
+    (within :data:`ZERO_MULTIPLICITY_TOL`) are skipped, so for a generator
+    with an exactly degenerate null space the gap is the first genuinely
+    decaying eigenvalue.  ``charge=None`` on a decomposition reads the gap over all
     sectors from the solves of its representative charges, without a solve
     of the full generator.
     """
@@ -258,7 +256,7 @@ def gap(
                       shift=shift)
     if result.eigenvalues.size < 2:
         raise MatrixValidationError("a 1-dimensional generator or sector has no gap eigenvalue")
-    rest = distinct_from_leading(result.eigenvalues, isolation_tol)
+    rest = distinct_from_leading(result.eigenvalues)
     if rest.size == 0:
         raise ExtractionError(
             f"all {result.eigenvalues.size} computed eigenvalues are degenerate "

@@ -203,9 +203,10 @@ class TestAssembleStructure:
         values = np.linalg.eigvals(liouv.matrix.toarray())
         assert np.abs(values).min() <= 1e-10
 
-    def test_dimension_budget(self):
-        with pytest.raises(SizeBudgetError):
-            assemble(make_qubit_decay(), 8, dimension_budget=10)
+    def test_dimension_budget(self, monkeypatch):
+        monkeypatch.setattr("heomspectra.builder.DEFAULT_DIMENSION_BUDGET", 10)
+        with pytest.raises(SizeBudgetError, match="stacked dimension 180"):
+            assemble(make_qubit_decay(), 8)
 
 
 class TestInitialState:

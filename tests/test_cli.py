@@ -6,6 +6,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -488,6 +489,25 @@ class TestDeadWorker:
         proc = run_cli(tmp_path, config_path, entry=("-c", KILL_POINT_1))
         self._check_sweep(tmp_path / "out", proc.returncode, proc.stderr)
         self._check_rerun(tmp_path, monkeypatch)
+
+    def test_workers_capped_at_the_usable_cores(self, tmp_path, monkeypatch):
+        intervals = tmp_path / "intervals"
+
+        def timed(config, index, size, value):
+            start = time.monotonic()  # one clock for every process
+            time.sleep(0.3)  # so that points run at once would overlap
+            outcome = execute_point(config, index, size, value)
+            with intervals.open("a") as file:  # written by the point's child process
+                file.write(f"{start} {time.monotonic()}\n")
+            return outcome
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(cli, "execute_point", timed)
+        assert run(parse_config(write_config(tmp_path, sweep=THREE_POINTS, workers=3))) == 0
+        spans = sorted(tuple(map(float, line.split())) for line in
+                       intervals.read_text().splitlines())
+        assert len(spans) == 3
+        assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
 
     def test_workers_2_write_the_results_of_workers_1(self, tmp_path):
         config_path = write_config(tmp_path, sweep=THREE_POINTS, analyses=["steady_state", "gap"])

@@ -21,6 +21,7 @@ from heomspectra.embedding import (
 from heomspectra.errors import (
     EmbeddingUnsupportedError,
     MatrixValidationError,
+    SizeBudgetError,
     SymmetryViolationError,
 )
 from heomspectra.linalg import devectorize, eig_dense, vectorize
@@ -62,6 +63,11 @@ class TestBuildLm:
         lm = build_lm(spec)
         w = trace_covector(spec)
         assert np.linalg.norm(lm.T @ np.conj(w)) <= 1e-12
+
+    def test_embedding_budget(self, qubit_decay_model, monkeypatch):
+        monkeypatch.setattr("heomspectra.embedding.DEFAULT_EMBEDDING_BUDGET", 99)
+        with pytest.raises(SizeBudgetError, match="dimension 100"):
+            build_lm(EmbeddingSpec(qubit_decay_model, (4,)))
 
     def test_complex_amplitude_rejected(self):
         ops = qubit_operators()
@@ -299,7 +305,3 @@ class TestDimensionReport:
         assert report["dim_heom"] / 9 == 15.0
         assert report["dim_lm"] / 9 == 81.0
         assert report["ratio"] == pytest.approx(15.0 / 81.0)
-
-    def test_cutoff_rule_callable(self, qubit_decay_model):
-        report = dimension_report(qubit_decay_model, 2, cutoff_rule=lambda k: k + 2)
-        assert report["dim_lm"] == 4 * 25.0

@@ -59,9 +59,10 @@ def test_enumeration_size_and_rank_inverse(m, k):
         assert space.rank(space.indices[r]) == r
 
 
-def test_enumeration_budget():
-    with pytest.raises(SizeBudgetError):
-        enumerate_indices(3, 10, index_budget=10)
+def test_enumeration_budget(monkeypatch):
+    monkeypatch.setattr("heomspectra.hierarchy.DEFAULT_INDEX_BUDGET", 10)
+    with pytest.raises(SizeBudgetError, match="8008 indices"):
+        enumerate_indices(3, 10)
 
 
 def test_neighbor_moves():

@@ -423,11 +423,11 @@ class TestHermSqrt:
 
     def test_not_psd_rejected(self):
         with pytest.raises(NotPositiveSemidefiniteError) as info:
-            herm_sqrt(np.diag([1.0, -1.0]), clip_tol=1e-8)
+            herm_sqrt(np.diag([1.0, -1.0]))
         assert info.value.eigenvalue == pytest.approx(-1.0)
 
     def test_clipping_inside_tolerance(self):
-        out = herm_sqrt(np.diag([1.0, -1e-10]), clip_tol=1e-8)
+        out = herm_sqrt(np.diag([1.0, -1e-10]))
         assert out[1, 1] == 0.0
 
     def test_non_hermitian_rejected(self):

@@ -199,10 +199,6 @@ class TestDistinctFromLeading:
     def test_all_degenerate_gives_empty(self):
         assert distinct_from_leading(np.array([0.0, 1e-10, -1e-10])).size == 0
 
-    def test_tolerance(self):
-        values = np.array([0.0, 1e-6, -1.0])
-        assert distinct_from_leading(values, isolation_tol=1e-5).tolist() == [-1.0]
-
 
 class TestSolverLogging:
     def test_cache_hit_is_logged(self, plain_liouv, caplog):
