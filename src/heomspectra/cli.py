@@ -7,6 +7,11 @@ analysis, key).  Each grid point runs in its own forked child, at most
 of the process), and is checkpointed to its own fragment file so long sweeps
 can be resumed.  A point that raises is checkpointed with its error; a
 child that dies fails only its point (exit 1), and a rerun recomputes it.
+Each point may use ``cores // min(workers, cores)`` processes: a point of a
+symmetric model whose analyses read sector spectra solves those sectors in
+its own process and in forked sector children at once (:func:`_presolve`).
+When more than one process of a run may solve at once, each point child
+lowers SciPy's and numpy's bundled OpenBLAS to one thread.
 
 The config schema is :data:`CONFIG_FIELDS` and the tables it nests; the CLI
 section of the README documents each field and gives an example.  Matrix
@@ -27,6 +32,7 @@ import multiprocessing.connection
 import os
 import signal
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,7 +45,7 @@ from .builder import HeomLiouvillian, assemble, export_matrix
 from .convergence import ConvergenceTrace, auto_cutoff, auto_truncate
 from .embedding import dimension_report
 from .errors import ConfigError, MatrixValidationError
-from .linalg import read_triplets
+from .linalg import limit_blas_threads, read_triplets
 from .models import ModelInstance, BathSpec, BathTerm, custom, lmg, two_mode_dicke, z2_lmg
 from .operators import SpinSpace, spin_operators
 from .spectra import Target, check_properties, distinct_from_leading, spectrum, steady_state
@@ -535,14 +541,113 @@ HANDLERS = {
 }
 #: The analyses that need only a null vector, run after the others.
 NULL_VECTOR_ANALYSES = ("steady_state", "ssb")
+#: The analyses that read the sector spectra of a symmetric model.
+SECTOR_ANALYSES = ("gap", "sectors", "ssb")
 
 
-def execute_point(config: RunConfig, index: int, size: int, sweep_value: float):
-    """Run every configured analysis at one grid point; returns (index, rows)."""
+def _sector_solves(decomp: SectorDecomposition, charges: Sequence[int], solver: dict):
+    """``(charge, solve)`` of each of ``charges`` in turn, up to the first solve that raises.
+
+    A charge left out is solved again by the analysis that reads it, which
+    then raises the error of a serial run.
+    """
+    for charge in charges:
+        try:
+            result = decomp.solvable(charge).eigs(**solver)
+        except Exception as exc:  # raised again by the analysis that reads the charge
+            log.debug("sector %d: %s; its analysis solves it again", charge, exc)
+            return
+        yield charge, result
+
+
+def _exit_without(parent: int) -> None:
+    """End this process once ``parent`` has gone, polled every 0.1 s."""
+    while os.getppid() == parent:
+        time.sleep(0.1)
+    os._exit(1)
+
+
+def _sector_child(decomp: SectorDecomposition, charges: Sequence[int], solver: dict,
+                  writer, parent: int) -> None:
+    # a point child that dies, or that run terminates, takes its sector children with it
+    threading.Thread(target=_exit_without, args=(parent,), daemon=True).start()
+    for solved in _sector_solves(decomp, charges, solver):
+        writer.send(solved)
+
+
+def _presolve(point: _Point, processes: int) -> None:
+    """Solve the sectors the point's analyses read in up to ``processes`` processes at once.
+
+    Only a symmetric model with an analysis of :data:`SECTOR_ANALYSES`
+    needs them: every charge for ``sectors``, otherwise the representative
+    charges.  They are dealt to the processes by dimension, largest first to
+    the least loaded.  This process solves the first share and forked
+    children the others; each child's solves come back through a pipe and
+    are stored under the keys the analyses read, so the analyses find them
+    as after a serial run.  A charge whose solve raised, or whose child
+    died, is not stored, so its analysis solves it here.  Every child is
+    joined before this returns or raises.
+    """
+    config = point.config
+    if (processes < 2 or not hasattr(os, "fork") or point.model.symmetry is None
+            or not set(SECTOR_ANALYSES) & set(config.analyses)):
+        return
+    decomp = point.decomp
+    charges = (decomp.charges_present() if "sectors" in config.analyses
+               else list(decomp.representative_charges(config.shift)))
+    shares: List[List[int]] = [[] for _ in range(min(processes, len(charges)))]
+    loads = [0] * len(shares)
+    for charge in sorted(charges, key=decomp.dimension, reverse=True):
+        least = loads.index(min(loads))
+        shares[least].append(charge)
+        loads[least] += decomp.dimension(charge)
+    solver = point.solver()
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for share in shares[1:]:
+            reader, writer = context.Pipe(duplex=False)
+            process = context.Process(target=_sector_child,
+                                      args=(decomp, share, solver, writer, os.getpid()))
+            children.append((process, reader, share))
+            with writer:  # closed here, so the reader sees EOF once the child is gone
+                process.start()
+        for _ in _sector_solves(decomp, shares[0], solver):
+            pass  # each solve is stored on its sector
+        for process, reader, share in children:
+            unsent = list(share)
+            while unsent:
+                try:
+                    charge, result = reader.recv()
+                except (EOFError, OSError):  # the child raised, or died
+                    break
+                decomp.solvable(charge).store(result, **solver)
+                unsent.remove(charge)
+            process.join()
+            if process.exitcode < 0:
+                log.warning("a sector child died with signal %d; the point solves its unsent "
+                            "charges %s itself", -process.exitcode, unsent)
+    finally:
+        for process, reader, _ in children:
+            reader.close()
+            if process.pid is not None:
+                process.kill()  # a child still running here is stopped by an error
+                process.join()
+
+
+def execute_point(config: RunConfig, index: int, size: int, sweep_value: float,
+                  processes: int = 1):
+    """Run every configured analysis at one grid point; returns (index, rows).
+
+    With ``processes`` above 1 the sector solves the analyses read are made
+    first, in that many processes at once (:func:`_presolve`); otherwise
+    every solve is made in this process.
+    """
     model = build_model(config, size, sweep_value)
     point = _Point(config, model, resolve_observables(config, model))
     k_max = _resolve_k_max(point)
     point.liouv = assemble(model, k_max)
+    _presolve(point, processes)
     run_id = f"{config.config_hash[:8]}-{index:04d}"
     # steady_state and ssb read a null vector: run after the analyses that take
     # spectra, they find the solve of its matrix cached instead of factorizing it.
@@ -576,16 +681,19 @@ def _describe(job, message: str) -> str:
     return f"point {index} (N={size}, {config.sweep_parameter}={value}): {message}"
 
 
-def _point_worker(job):
+def _point_worker(job, processes: int):
     try:
-        return execute_point(*job), None
+        return execute_point(*job, processes=processes), None
     except Exception as exc:  # crash isolation: record and continue
         return (job[1], []), _describe(job, str(exc))
 
 
-def _child(job, writer) -> None:
+def _child(job, writer, processes: int, solving: int) -> None:
+    """Run one point in up to ``processes`` processes; ``solving`` of the run's may solve at once."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its children
-    writer.send(_point_worker(job))
+    if solving > 1:  # two BLAS threads per process would contend for the cores
+        limit_blas_threads(1)
+    writer.send(_point_worker(job, processes))
 
 
 def _format_row(row: dict) -> str:
@@ -660,13 +768,15 @@ def run(config: RunConfig) -> int:
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     slots = min(config.workers, cores)
+    processes = cores // slots  # the cores of each point, over which it spreads its sectors
     running = {}  # the read end of each child's pipe -> (process, job)
     try:
         while pending or running:
             while pending and len(running) < slots:
                 job = pending.pop(0)
                 reader, writer = context.Pipe(duplex=False)
-                process = context.Process(target=_child, args=(job, writer))
+                process = context.Process(target=_child,
+                                          args=(job, writer, processes, slots * processes))
                 process.start()
                 writer.close()  # so the reader sees EOF once the child is gone
                 running[reader] = process, job
@@ -719,7 +829,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", help="output directory (overrides the config)")
     parser.add_argument("--workers", type=int,
-                        help="grid points run at once, at most the usable cores "
+                        help="grid points run at once, at most the usable cores; each point "
+                             "solves its symmetry sectors in parallel on its share of them "
                              "(overrides the config)")
     parser.add_argument("--verbose", action="store_true", help="enable progress logging")
     args = parser.parse_args(argv)

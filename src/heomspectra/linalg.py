@@ -570,6 +570,15 @@ class Solvable:
         return self._once(key, lambda: eig_targeted(self.matrix, shift, key[1], tol=tol,
                                                     seed=seed, involution=self.involution))
 
+    def store(self, result: EigResult, shift: complex, count: int, tol: float = 1e-10,
+              seed: int = 0) -> None:
+        """Keep ``result``, computed elsewhere, as the :meth:`eigs` solve with these arguments.
+
+        It must be what :meth:`eigs` returns for them on a copy of this
+        matrix, such as the solve of a forked process.
+        """
+        self._solves[self._key(shift, count, tol, seed)] = result
+
     def null(self, shift: complex, count: int, tol: float = 1e-10, seed: int = 0) -> EigResult:
         """Eigenpairs nearest zero, enough to read and check the null vector.
 
@@ -597,6 +606,54 @@ class Solvable:
         if self.involution is None or not np.isin(self.involution[members], members).all():
             return Solvable(matrix)
         return Solvable(matrix, np.searchsorted(members, self.involution[members]))
+
+
+def _openblas_libraries() -> list:
+    """The files of the OpenBLAS builds bundled with the SciPy and numpy wheels.
+
+    Each wheel keeps its library in ``<package>.libs`` beside the package.
+    """
+    from pathlib import Path
+
+    import scipy
+
+    return sorted(str(path) for package in (scipy, np) for path in
+                  (Path(package.__file__).parents[1] / f"{package.__name__}.libs").glob(
+                      "libscipy_openblas*"))
+
+
+def limit_blas_threads(count: int) -> None:
+    """Lower the thread count of SciPy's and numpy's bundled OpenBLAS to at most ``count``.
+
+    A library whose count is already at most ``count`` keeps it, so the
+    count is never raised.  SciPy's build (``scipy.linalg``, and so the
+    Krylov-Schur iteration) exports ``scipy_openblas_set_num_threads`` and
+    numpy's 64-bit build ``scipy_openblas_set_num_threads64_``; both are
+    called through ``ctypes``.  Where no library or no such symbol is found,
+    for instance with a system BLAS, nothing changes and one debug line is
+    logged.
+    """
+    import ctypes
+
+    missing = []
+    paths = _openblas_libraries()
+    for path in paths:
+        library = ctypes.CDLL(path)
+        for suffix in ("", "64_"):
+            get = getattr(library, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(library, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                break
+        else:
+            missing.append(path)
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        if get() > count:
+            put(count)
+    if missing or not paths:
+        log.debug("BLAS threads unchanged in %s: no bundled OpenBLAS thread control",
+                  ", ".join(missing) or "this process")
 
 
 def herm_sqrt(a: MatrixLike) -> np.ndarray:

@@ -14,7 +14,7 @@ import pytest
 from heomspectra import __version__, cli, convergence, linalg
 from heomspectra.builder import assemble
 from heomspectra.cli import build_model, execute_point, main, parse_config, resolve_observables, run
-from heomspectra.errors import ConfigError, MatrixValidationError
+from heomspectra.errors import ConfigError, EigenConvergenceError, MatrixValidationError
 from heomspectra.linalg import write_triplets
 from heomspectra.operators import qubit_operators
 from heomspectra.symmetry import decompose
@@ -434,10 +434,10 @@ from heomspectra import cli
 
 execute_point = cli.execute_point
 
-def kill_point_1(config, index, size, value):
+def kill_point_1(config, index, size, value, **options):
     if index == 1:
         os.kill(os.getpid(), signal.SIGKILL)
-    return execute_point(config, index, size, value)
+    return execute_point(config, index, size, value, **options)
 
 cli.execute_point = kill_point_1
 sys.exit(cli.main(sys.argv[1:]))
@@ -460,10 +460,10 @@ class TestDeadWorker:
     def _check_rerun(tmp_path, monkeypatch):
         computed = tmp_path / "computed"
 
-        def record(config, index, size, value):
+        def record(config, index, size, value, **options):
             with computed.open("a") as file:  # written by the point's child process
                 file.write(f"{index}\n")
-            return execute_point(config, index, size, value)
+            return execute_point(config, index, size, value, **options)
 
         monkeypatch.setattr(cli, "execute_point", record)
         assert run(parse_config(tmp_path / "config.json")) == 0
@@ -472,10 +472,10 @@ class TestDeadWorker:
             "0000", "0001", "0002"}
 
     def test_workers_2_fail_only_the_dead_point(self, tmp_path, monkeypatch, capsys):
-        def kill_point_1(config, index, size, value):
+        def kill_point_1(config, index, size, value, **options):
             if index == 1:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return execute_point(config, index, size, value)
+            return execute_point(config, index, size, value, **options)
 
         config = parse_config(write_config(tmp_path, sweep=THREE_POINTS, workers=2))
         monkeypatch.setattr(cli, "execute_point", kill_point_1)
@@ -493,10 +493,10 @@ class TestDeadWorker:
     def test_workers_capped_at_the_usable_cores(self, tmp_path, monkeypatch):
         intervals = tmp_path / "intervals"
 
-        def timed(config, index, size, value):
+        def timed(config, index, size, value, **options):
             start = time.monotonic()  # one clock for every process
             time.sleep(0.3)  # so that points run at once would overlap
-            outcome = execute_point(config, index, size, value)
+            outcome = execute_point(config, index, size, value, **options)
             with intervals.open("a") as file:  # written by the point's child process
                 file.write(f"{start} {time.monotonic()}\n")
             return outcome
@@ -519,6 +519,105 @@ class TestDeadWorker:
             texts.append(strip_generated((out / "results.csv").read_text()))
         assert texts[0] == texts[1]
         assert len({row["run_id"] for row in read_rows(tmp_path / "out2")}) == 3
+
+
+def max_overlap(spans):
+    """The most of ``(start, end)`` intervals open at one time."""
+    events = sorted([(start, 1) for start, _ in spans] + [(end, -1) for _, end in spans])
+    open_now = most = 0
+    for _, step in events:
+        open_now += step
+        most = max(most, open_now)
+    return most
+
+
+class TestSectorProcesses:
+    """A symmetric point's sector solves spread over processes (``execute_point(processes=)``)."""
+
+    # sector 1 (dim 406) is larger than sector 0 (dim 404), so the point's own
+    # process solves charge 1 and a child charge 0, which the analyses read first
+    POINT = {**SSB_POINT, "k_max": 3, "analyses": ["steady_state", "gap", "sectors", "ssb"]}
+
+    def _rows(self, tmp_path, processes):
+        config = parse_config(write_config(tmp_path, **self.POINT))
+        return execute_point(config, 0, 8, -2.9, processes=processes)[1]
+
+    def test_two_processes_give_the_rows_of_one(self, tmp_path):
+        rows = self._rows(tmp_path, 2)
+        assert {row["analysis"] for row in rows} == {"steady_state", "gap", "sectors", "ssb"}
+        assert rows == self._rows(tmp_path, 1)
+        assert multiprocessing.active_children() == []
+
+    def test_two_processes_factorize_each_sector_once(self, tmp_path, monkeypatch):
+        log_file = tmp_path / "factorized"
+        original = linalg._refined_inverse
+
+        def record(a, sigma):
+            with log_file.open("a") as file:  # appended to by every process
+                file.write(f"{os.getpid()} {a.shape[0]}\n")
+            return original(a, sigma)
+
+        monkeypatch.setattr(linalg, "_refined_inverse", record)
+        self._rows(tmp_path, 2)
+        entries = [line.split() for line in log_file.read_text().splitlines()]
+        assert sorted(int(dim) for _, dim in entries) == [404, 406]
+        assert len({pid for pid, _ in entries}) == 2
+
+    def test_two_processes_raise_the_serial_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(linalg, "KRYLOV_CYCLE_LIMIT", 1)
+        errors = []
+        for processes in (1, 2):
+            with pytest.raises(EigenConvergenceError) as raised:
+                self._rows(tmp_path, processes)
+            errors.append(raised.value)
+        assert str(errors[0]) == str(errors[1])
+        # and the same sector's Ritz values
+        assert list(errors[0].ritz_values) == list(errors[1].ritz_values)
+        assert multiprocessing.active_children() == []
+
+    def test_killed_sector_child_is_solved_in_the_point(self, tmp_path, monkeypatch, caplog):
+        serial = self._rows(tmp_path, 1)
+        point, original, solved = os.getpid(), linalg.eig_targeted, []
+
+        def kill_children(a, shift, count, **kwargs):
+            if os.getpid() != point:
+                os.kill(os.getpid(), signal.SIGKILL)
+            solved.append(a.shape[0])
+            return original(a, shift, count, **kwargs)
+
+        monkeypatch.setattr(linalg, "eig_targeted", kill_children)
+        with caplog.at_level(logging.WARNING, logger="heomspectra"):
+            assert self._rows(tmp_path, 2) == serial
+        assert "a sector child died with signal 9; the point solves its unsent charges [0]" \
+            in caplog.text
+        assert sorted(solved) == [404, 406]  # charge 0 solved again here, once
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_solving_processes_stay_within_the_usable_cores(self, tmp_path, monkeypatch,
+                                                            workers):
+        spans_file, original = tmp_path / "spans", linalg.eig_targeted
+
+        def timed(a, shift, count, **kwargs):
+            start = time.monotonic()  # one clock for every process
+            time.sleep(0.2)  # so that solves made at once overlap
+            result = original(a, shift, count, **kwargs)
+            with spans_file.open("a") as file:  # appended to by every process
+                file.write(f"{start} {time.monotonic()}\n")
+            return result
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(linalg, "eig_targeted", timed)
+        # five U(1) charges q >= 0 per point, so a point alone could fill every core
+        config = parse_config(write_config(
+            tmp_path, model="two_mode_dicke", params={"omega0": 1.0, "omega": 5.0, "kappa": 5.0},
+            N=[2], k_max=2, sweep={"parameter": "g", "grid": [0.5, 1.0, 1.5]},
+            analyses=["gap"], workers=workers))
+        assert run(config) == 0
+        spans = [tuple(map(float, line.split())) for line in spans_file.read_text().splitlines()]
+        assert len(spans) == 3 * 5
+        # workers 1: one point at a time in 3 processes; workers 2: two points of 1 each
+        assert max_overlap(spans) == {1: 3, 2: 2}[workers]
 
 
 LMG_PARAMS = {"gamma": 1.0, "kappa": 1.0, "omega": 1.0}

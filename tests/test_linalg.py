@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -461,3 +467,50 @@ class TestTriplets:
         path.write_text(text)
         with pytest.raises(MatrixValidationError, match=line):
             read_triplets(path)
+
+
+# Prints the thread count of each bundled OpenBLAS, before and after each
+# limit_blas_threads call, as JSON lists of {library: count}.
+THREAD_COUNTS = """
+import ctypes, json, sys
+from heomspectra import linalg
+
+def counts():
+    found = {}
+    for path in linalg._openblas_libraries():
+        library = ctypes.CDLL(path)
+        for suffix in ("", "64_"):
+            get = getattr(library, "scipy_openblas_get_num_threads" + suffix, None)
+            if get is not None:
+                found[path] = get()
+    return found
+
+steps = [counts()]
+for count in map(int, sys.argv[1:]):
+    linalg.limit_blas_threads(count)
+    steps.append(counts())
+print(json.dumps(steps))
+"""
+
+
+class TestBlasThreads:
+    def test_limit_lowers_and_never_raises(self):
+        # in a child process, so this one keeps its thread count
+        src = str(Path(linalg.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+               "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        done = subprocess.run([sys.executable, "-c", THREAD_COUNTS, "3", "1", "2"], env=env,
+                              capture_output=True, text=True, check=True, timeout=60)
+        start, above, limited, again = json.loads(done.stdout)
+        if not start:
+            pytest.skip("no bundled OpenBLAS in this environment")
+        assert above == start  # a count above the current one changes nothing
+        assert set(limited.values()) == {1} and limited.keys() == start.keys()
+        assert again == limited  # and a later, larger count does not raise it
+
+    def test_missing_library_logs_one_debug_line(self, monkeypatch, caplog):
+        monkeypatch.setattr(linalg, "_openblas_libraries", lambda: [])
+        with caplog.at_level("DEBUG", logger="heomspectra.linalg"):
+            linalg.limit_blas_threads(1)
+        assert len(caplog.records) == 1
+        assert caplog.records[0].levelname == "DEBUG"
