@@ -7,7 +7,7 @@ sectors) for phase-transition signatures, and cross-validates against the
 enlarged Markovian description with explicit damped modes.
 """
 
-__version__ = "0.1.7"
+__version__ = "0.1.8"
 
 from .builder import (
     HeomLiouvillian,

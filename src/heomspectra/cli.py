@@ -22,6 +22,7 @@ re im`` per line, zero-based).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -701,6 +702,19 @@ def _format_row(row: dict) -> str:
                     else str(row[name]) for name in CSV_COLUMNS.split(","))
 
 
+@contextlib.contextmanager
+def _interrupts_held():
+    """Hold SIGINT back until the block has run, where the platform has signal masks."""
+    if not hasattr(signal, "pthread_sigmask"):
+        yield
+        return
+    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+
+
 def _load_fragment(fragment: Path) -> Optional[dict]:
     """A checkpoint fragment's payload; None if it is absent or unreadable."""
     if not fragment.exists():
@@ -716,8 +730,30 @@ def _load_fragment(fragment: Path) -> Optional[dict]:
     return payload
 
 
+def _restorable(config: RunConfig, index: int) -> Optional[dict]:
+    """The checkpoint of point ``index`` if a run of ``config`` restores it, else None.
+
+    A fragment of another config or package version is not restored.
+    """
+    payload = _load_fragment(Path(config.output_dir) / "points" / f"point_{index:04d}.json")
+    if payload is None:
+        return None
+    if payload.get("config_hash") != config.config_hash:
+        log.info("point %d: checkpoint is from another config; recomputing", index)
+    elif payload.get("version") != __version__:
+        log.info("point %d: checkpoint is from version %s, not %s; recomputing",
+                 index, payload.get("version"), __version__)
+    else:
+        return payload
+    return None
+
+
 def run(config: RunConfig) -> int:
-    """Execute a sweep; returns the process exit status (0 ok, 1 partial)."""
+    """Execute a sweep; returns the process exit status (0 ok, 1 partial).
+
+    An interrupt (``KeyboardInterrupt``) stops the running point children
+    and propagates; the points checkpointed so far are restored by a rerun.
+    """
     out_dir = Path(config.output_dir)
     points_dir = out_dir / "points"
     points_dir.mkdir(parents=True, exist_ok=True)
@@ -728,20 +764,14 @@ def run(config: RunConfig) -> int:
 
     pending = []
     for index, (size, value) in points:
-        payload = _load_fragment(points_dir / f"point_{index:04d}.json")
-        if payload is not None:
-            if payload.get("config_hash") != config.config_hash:
-                log.info("point %d: checkpoint is from another config; recomputing", index)
-            elif payload.get("version") != __version__:
-                log.info("point %d: checkpoint is from version %s, not %s; recomputing",
-                         index, payload.get("version"), __version__)
-            else:
-                if payload.get("error"):
-                    failures[index] = payload["error"]
-                results[index] = payload["rows"]
-                log.info("point %d restored from checkpoint", index)
-                continue
-        pending.append((config, index, size, value))
+        payload = _restorable(config, index)
+        if payload is None:
+            pending.append((config, index, size, value))
+            continue
+        if payload.get("error"):
+            failures[index] = payload["error"]
+        results[index] = payload["rows"]
+        log.info("point %d restored from checkpoint", index)
 
     def _record(outcome, error):
         (index, rows), fragment = outcome, points_dir / f"point_{outcome[0]:04d}.json"
@@ -777,9 +807,10 @@ def run(config: RunConfig) -> int:
                 reader, writer = context.Pipe(duplex=False)
                 process = context.Process(target=_child,
                                           args=(job, writer, processes, slots * processes))
-                process.start()
+                with _interrupts_held():  # a child is always started and recorded, or neither
+                    process.start()
+                    running[reader] = process, job
                 writer.close()  # so the reader sees EOF once the child is gone
-                running[reader] = process, job
             for reader in multiprocessing.connection.wait(list(running)):
                 process, job = running.pop(reader)
                 try:
@@ -848,7 +879,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     if args.out:
         config.output_dir = args.out
-    return run(config)
+    try:
+        return run(config)
+    except KeyboardInterrupt:  # run has stopped the point children
+        total = len(config.sizes) * len(config.sweep_grid)
+        saved = sum(_restorable(config, index) is not None for index in range(total))
+        print(f"interrupted: {saved} of {total} points are checkpointed in "
+              f"{Path(config.output_dir) / 'points'}; a rerun resumes from them", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

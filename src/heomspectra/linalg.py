@@ -51,8 +51,26 @@ KRYLOV_CYCLE_LIMIT = 100
 #: LU entries whose solve costs about as much as the eigensolve of an m x m
 #: matrix, per m**3: the stop test of :func:`_krylov_schur` against one
 #: application of the inverse, measured 4 (real) to 6 (complex) on lmg,
-#: z2_lmg and two_mode_dicke sectors with m = 36 and 48 (2 cores).
+#: z2_lmg and two_mode_dicke sectors with m = 36 and 48 (2 cores), all on
+#: SuperLU's LU, whose entries are those of its factors.  A level-set LU
+#: counts its dense diagonal factors and sparse couplings, and a solve reads
+#: the factors twice.  It serves dimensions from :data:`LEVEL_LU_MIN_DIM`,
+#: whose LUs hold millions of entries (4.17M for the lmg N=20 sector),
+#: against 5 * 48**3 = 0.55M, so there the test follows every application.
 _STOP_TEST_WORK = 5
+#: Dimension from which :func:`_refined_inverse` factorizes with the
+#: level-set block LU (:class:`_LevelSetLU`) instead of SuperLU.  The
+#: crossover, measured with one BLAS thread by count-6 eigensolves at 0
+#: (SuperLU against level sets): lmg parity sector 0 gains from about 3000
+#: (3040: 0.18 against 0.16 s; 5200: 0.49-0.58 against 0.30-0.41 s), while
+#: the complex U(1) charges of two_mode_dicke (0.6 g_c) lose below about
+#: 4500 (N=14, every charge at most 4042, summed: 3.4-3.8 against 5.0-5.5
+#: s) and gain above it (N=18, charges 1-3 of 5060-5332: 1.69-1.76 against
+#: 1.21-1.31 s).
+LEVEL_LU_MIN_DIM = 5000
+#: Fewest nodes in a block of the level-set LU, bar the last: fewer, smaller
+#: blocks would spend more time in Python per solve than in LAPACK.
+_LEVEL_BLOCK = 32
 #: Largest tolerated magnitude of an entry a symmetry forbids: of one
 #: connecting different charges, and, relative to the largest entry, of the
 #: imaginary part of an entry of a real form (:func:`_real_form`).
@@ -174,21 +192,139 @@ def _nearest_order(values: np.ndarray, shift: complex) -> np.ndarray:
                        np.round(np.abs(values - shift), 10)))
 
 
+def _level_sets(pattern: sp.csr_matrix) -> Tuple[np.ndarray, np.ndarray]:
+    """Breadth-first level sets of a symmetric sparsity pattern: a node order and the level starts.
+
+    Each connected component is walked in turn, in the order of its lowest
+    node, from a pseudo-peripheral start (George & Liu, 1981): begin at a
+    node of least degree, and while a node of least degree in the last
+    level has the larger eccentricity, begin again from it.  Every
+    component takes these steps at once, so each step is one multi-source
+    breadth-first search in compiled code.  Ties go to the lower index.
+    In the order returned, the nodes of each level are contiguous and
+    ascending, and an edge joins nodes of one level or of adjacent levels
+    of one component.
+    """
+    from scipy.sparse import csgraph  # loaded only by this path
+
+    n = pattern.shape[0]
+    components, labels = csgraph.connected_components(pattern, directed=False)
+    degree, index = np.diff(pattern.indptr), np.arange(n)
+
+    def search(ranking):  # distances from the first node of each component in ``ranking``
+        starts = ranking[np.flatnonzero(np.r_[True, np.diff(labels[ranking]) != 0])]
+        distance = csgraph.dijkstra(pattern, directed=False, indices=starts, unweighted=True,
+                                    min_only=True)
+        eccentricity = np.zeros(components)
+        np.maximum.at(eccentricity, labels, distance)
+        return distance, eccentricity
+
+    distance, eccentricity = search(np.lexsort((index, degree, labels)))
+    while True:
+        farther, further = search(np.lexsort((index, degree, -distance, labels)))
+        longer = further > eccentricity
+        if not longer.any():
+            break
+        distance = np.where(longer[labels], farther, distance)
+        eccentricity = np.where(longer, further, eccentricity)
+    order = np.lexsort((index, distance, labels))
+    level = labels[order] * (n + 1) + distance[order].astype(np.int64)
+    return order, np.flatnonzero(np.r_[True, np.diff(level) != 0])
+
+
+class _LevelSetLU:
+    """A block-tridiagonal LU of a square sparse matrix in breadth-first level-set order.
+
+    The order is that of :func:`_level_sets` on the pattern of ``A + A^T``,
+    in which ``A`` is block tridiagonal when consecutive levels are merged
+    into blocks, here of at least :data:`_LEVEL_BLOCK` nodes each (the last
+    block may hold fewer).  With ``D_k`` the diagonal block ``k`` and
+    ``L_k`` and ``U_k`` its couplings to block ``k - 1`` below and above
+    the diagonal, the Schur complement ``S_k = D_k - L_k S_{k-1}^-1 U_k`` is
+    dense and factorized by LAPACK ``getrf`` with partial pivoting inside
+    the block, real or complex as ``A`` is; the couplings stay sparse.  A solve is one forward
+    and one backward block sweep.  ``nnz`` counts the entries stored, the
+    dense factors and the couplings; a solve reads the factors twice.  A
+    zero pivot raises :class:`RuntimeError`, as SuperLU does.
+    """
+
+    def __init__(self, a: sp.spmatrix):
+        a = sp.csr_matrix(a)
+        n = a.shape[0]
+        structure = sp.csr_matrix((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
+        self.order, starts = _level_sets((structure + structure.T).tocsr())
+        # Cut at the first level that starts _LEVEL_BLOCK nodes or more past
+        # the block's start: one step per block, however many levels.
+        edges = np.append(starts, n)
+        following = np.minimum(np.searchsorted(edges, edges[:-1] + _LEVEL_BLOCK), starts.size)
+        cuts = [0]
+        while cuts[-1] < starts.size:
+            cuts.append(int(following[cuts[-1]]))
+        if len(cuts) > 2 and edges[cuts[-1]] - edges[cuts[-2]] < _LEVEL_BLOCK:
+            del cuts[-2]  # a short last block joins the one before it
+        self.bounds = [int(b) for b in edges[cuts]]
+        self.dtype = a.dtype
+        permuted = a[self.order][:, self.order]
+        getrf, self._getrs = sla.get_lapack_funcs(("getrf", "getrs"), dtype=a.dtype)
+        self.factors, self.lower, self.upper = [], [], []
+        for k, (start, stop) in enumerate(zip(self.bounds, self.bounds[1:])):
+            rows = permuted[start:stop]
+            schur = rows[:, start:stop].toarray()
+            if k:
+                self.lower.append(rows[:, self.bounds[k - 1]:start])
+                coupling = self._getrs(*self.factors[-1], self.upper[-1].toarray())[0]
+                schur -= self.lower[-1] @ coupling
+            lu, pivots, info = getrf(schur, overwrite_a=True)
+            if info > 0:
+                raise RuntimeError(f"zero pivot in block {k} of the level-set LU")
+            self.factors.append((lu, pivots))
+            if k + 2 < len(self.bounds):
+                self.upper.append(rows[:, stop:self.bounds[k + 2]])
+        self.nnz = (sum(lu.size for lu, _ in self.factors)
+                    + sum(block.nnz for block in self.lower + self.upper))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``A^-1 b`` for a vector or the columns of a matrix ``b``."""
+        bounds, getrs = self.bounds, self._getrs
+        permuted = np.asarray(b)[self.order]
+        y = np.empty(permuted.shape, dtype=np.result_type(permuted, self.dtype))
+        for k, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+            rhs = permuted[start:stop]
+            if k:
+                rhs = rhs - self.lower[k - 1] @ y[bounds[k - 1]:start]
+            y[start:stop] = getrs(*self.factors[k], rhs)[0]
+        for k in range(len(self.upper) - 1, -1, -1):
+            start, stop = bounds[k], bounds[k + 1]
+            y[start:stop] -= getrs(*self.factors[k], self.upper[k] @ y[stop:bounds[k + 2]])[0]
+        x = np.empty_like(y)
+        x[self.order] = y
+        return x
+
+
 def _refined_inverse(a: sp.spmatrix, sigma: complex) -> Tuple[spla.LinearOperator, int]:
-    """The operator ``(a - sigma I)^-1`` from one minimum-degree sparse LU, and the LU's size.
+    """The operator ``(a - sigma I)^-1`` from one sparse LU, and the number of entries it stores.
 
     The LU and the operator have the dtype of ``a - sigma I``, so a real
-    matrix at a real ``sigma`` is factorized in real arithmetic.  The
-    ordering is minimum degree on ``A^T + A`` with diagonal pivots (SuperLU's
-    symmetric mode), which roughly halves the fill of SciPy's default column
-    ordering on HEOM generators, whose sparsity pattern is nearly symmetric.  Not pivoting for size costs accuracy, so each solve
-    takes one step of iterative refinement against the shifted matrix.  The
-    number of entries the LU stores measures the work of one solve.  A zero
-    pivot raises :class:`RuntimeError`.
+    matrix at a real ``sigma`` is factorized in real arithmetic.  Below
+    :data:`LEVEL_LU_MIN_DIM` the LU is SuperLU's, ordered by minimum degree
+    on ``A^T + A`` with diagonal pivots (symmetric mode), which roughly
+    halves the fill of SciPy's default column ordering on HEOM generators,
+    whose sparsity pattern is nearly symmetric.  From that dimension on it
+    is the block-tridiagonal LU of :class:`_LevelSetLU`, which factorizes
+    dense blocks with LAPACK where SuperLU works at BLAS-2 speed: on lmg
+    N=20, k_max=7 parity sector 0 (dimension 7936, real form) 0.24 s and
+    4.17M entries against 0.82 s and 5.53M.  Both factorizations lose
+    accuracy to a pivot order fixed in advance, so each solve takes one step
+    of iterative refinement against the shifted matrix.  The number of
+    entries the LU stores measures the work of one solve.  A zero pivot
+    raises :class:`RuntimeError`.
     """
     shifted = (a - sigma * sp.identity(a.shape[0], dtype=a.dtype, format="csr")).tocsc()
-    lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
+    if shifted.shape[0] >= LEVEL_LU_MIN_DIM:
+        lu = _LevelSetLU(shifted)
+    else:
+        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
 
     def solve(b: np.ndarray) -> np.ndarray:
         x = lu.solve(b)
@@ -223,10 +359,16 @@ def _real_form(m: sp.csr_matrix, involution: np.ndarray,
     ``p`` of ``P`` and, for each pair ``p < Pp``, ``(e_p + e_Pp) / sqrt 2``
     and ``i (e_p - e_Pp) / sqrt 2``.  The columns follow the basis order of
     each fixed point and of each pair's first member, with a pair's two
-    columns side by side.  That interleaving keeps the LU of ``B`` near the
-    fill of ``m``'s: on lmg N=20, k_max=7 parity sector 0 it is 5.53M real
-    against 5.06M complex, and 6.17M when each pair's columns sit at ``p``
-    and ``Pp`` instead.  ``B`` is real exactly when ``m`` commutes with
+    columns side by side.  That interleaving keeps SuperLU's LU of ``B``
+    near the fill of ``m``'s: measured on lmg N=20, k_max=7 parity sector 0,
+    factorized by SuperLU at every size, it is 5.53M real against 5.06M
+    complex, and 6.17M when each pair's columns sit at ``p`` and ``Pp``
+    instead.  That sector (dimension 7936) is above :data:`LEVEL_LU_MIN_DIM`
+    and so takes the level-set LU, which orders the basis itself: its LU of ``B``
+    holds 4.17M entries against 2.69M of ``m``, since a pair joins the
+    levels of ``p`` and ``Pp``, yet real arithmetic keeps it the faster
+    one (a count-6 solve at 0 took 0.64-0.87 s against 0.74-1.02 s).
+    ``B`` is real exactly when ``m`` commutes with
     ``J``: an imaginary part above ``OFF_SECTOR_TOL * scale`` raises
     :class:`SymmetryViolationError`, and a ``P`` that is not an involution of
     the basis raises :class:`MatrixValidationError`.
@@ -300,8 +442,9 @@ def eig_targeted(
     Up to :data:`TARGETED_DENSE_FALLBACK` (or when nearly the whole spectrum
     is asked for) the full dense spectrum is computed and filtered.  Above it
     one shift-invert Krylov-Schur iteration (:func:`_krylov_schur`) runs on
-    the refined minimum-degree LU of :func:`_refined_inverse` at a slightly
-    displaced shift.  It stops at the first test at which the ``count``
+    the refined LU of :func:`_refined_inverse` at a slightly displaced
+    shift: SuperLU's minimum-degree LU below :data:`LEVEL_LU_MIN_DIM`, the
+    level-set block LU from it on.  It stops at the first test at which the ``count``
     Ritz pairs nearest ``shift`` all have a residual on ``a`` within
     ``min(tol, 1e-10) * 1e-2``, read from the Arnoldi relation; the test
     follows every application of the inverse whose LU costs more than the

@@ -444,6 +444,55 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
+# The CLI with every point after the first held back for a minute.
+HOLD_AFTER_POINT_0 = """
+import sys, time
+from heomspectra import cli
+
+execute_point = cli.execute_point
+
+def hold(config, index, size, value, **options):
+    if index > 0:
+        time.sleep(60)
+    return execute_point(config, index, size, value, **options)
+
+cli.execute_point = hold
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestInterrupt:
+    def test_sigint_exits_130_and_a_rerun_resumes(self, tmp_path, monkeypatch):
+        config_path = write_config(tmp_path, sweep=THREE_POINTS, workers=1)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.Popen([sys.executable, "-c", HOLD_AFTER_POINT_0, "--config",
+                                 str(config_path)], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path)
+        points = tmp_path / "out" / "points"
+        deadline = time.monotonic() + 60
+        while not (points / "point_0000.json").exists() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGINT)
+        _, stderr = proc.communicate(timeout=30)
+        assert proc.returncode == 130
+        assert stderr.splitlines() == [
+            f"interrupted: 1 of 3 points are checkpointed in {points}; a rerun resumes from them"]
+        assert sorted(p.name for p in points.iterdir()) == ["point_0000.json"]
+        computed = tmp_path / "computed"
+
+        def record(config, index, size, value, **options):
+            with computed.open("a") as file:  # written by the point's child process
+                file.write(f"{index}\n")
+            return execute_point(config, index, size, value, **options)
+
+        monkeypatch.setattr(cli, "execute_point", record)
+        assert run(parse_config(config_path)) == 0
+        assert computed.read_text() == "1\n2\n"
+        assert {row["run_id"][-4:] for row in read_rows(tmp_path / "out")} == {
+            "0000", "0001", "0002"}
+
+
 class TestDeadWorker:
     @staticmethod
     def _check_sweep(out, status, stderr):

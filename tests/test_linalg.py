@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -188,9 +189,34 @@ class TestEigTargeted:
 
 
 class TestShiftInvert:
-    """One refined minimum-degree LU per solve; a miss raises at once."""
+    """One refined LU per solve, SuperLU's or the level-set LU; a miss raises at once.
+
+    At these dimensions the LU is SuperLU's; :class:`TestShiftInvertLevelSets`
+    runs the same tests on the level-set LU of :class:`linalg._LevelSetLU`.
+    The ``levels`` fixture records the dimension of each level-set LU.
+    """
 
     N = 800  # above the dense fallback
+    LEVEL_SETS = False
+
+    @pytest.fixture(autouse=True)
+    def levels(self, monkeypatch):
+        built = []
+        if self.LEVEL_SETS:
+            original = linalg._LevelSetLU
+
+            def spy(a):
+                built.append(a.shape[0])
+                return original(a)
+
+            monkeypatch.setattr(linalg, "LEVEL_LU_MIN_DIM", 0)
+            monkeypatch.setattr(linalg, "_LevelSetLU", spy)
+        else:
+            assert self.N < linalg.LEVEL_LU_MIN_DIM
+        return built
+
+    def _check_path(self, levels, factorizations):
+        assert len(levels) == (factorizations if self.LEVEL_SETS else 0)
 
     @pytest.fixture
     def matrix(self):
@@ -200,7 +226,7 @@ class TestShiftInvert:
              - sp.diags(state.uniform(1.0, 3.0, self.N)))
         return a.tocsr()
 
-    def test_sparse_solve_matches_dense(self, matrix, refined_calls):
+    def test_sparse_solve_matches_dense(self, matrix, refined_calls, levels):
         shift = -1.0 + 0.1j
         res = eig_targeted(matrix, shift, 6)
         dense_vals = np.linalg.eigvals(matrix.toarray())
@@ -208,6 +234,7 @@ class TestShiftInvert:
         assert multiset_distance(res.eigenvalues, nearest) <= 1e-8
         assert res.residual_norms.max() <= 1e-10
         assert len(refined_calls) == 1
+        self._check_path(levels, 1)
 
     def test_inaccurate_factorization_raises_convergence_error(self, matrix, monkeypatch,
                                                                refined_calls):
@@ -223,7 +250,7 @@ class TestShiftInvert:
         assert info.value.ritz_values is not None and len(info.value.ritz_values) == 6
         assert len(refined_calls) == 1
 
-    def test_eigs_raises_singular_shift_without_retry(self, refined_calls):
+    def test_eigs_raises_singular_shift_without_retry(self, refined_calls, levels):
         # Explicit zeros: the requested shift is an exact zero pivot.  eigs
         # makes one factorization and raises; the caller's remedy is a new
         # request at the suggested shift, which then succeeds.
@@ -237,6 +264,95 @@ class TestShiftInvert:
         assert np.abs(res.eigenvalues).max() <= 1e-10
         assert refined_calls == [0.0, suggested]
         assert list(solvable._solves) == [(suggested, 2, 1e-10, 0)]
+        self._check_path(levels, 2)
+
+    def test_singular_shift_of_a_connected_matrix_raises(self, matrix, refined_calls, levels):
+        # Row 0 is zero and column 0 is not, so node 0 is joined to the
+        # others and its row stays zero through the elimination.  The shift
+        # is the displacement, so the factorization is of the matrix itself.
+        a = matrix.tolil()
+        a[0, :] = 0.0
+        a = a.tocsr()
+        a.eliminate_zeros()
+        assert a[:, 0].nnz > 0
+        shift = 1e-3 * float(np.abs(a.data).max())
+        with pytest.raises(SingularShiftError) as info:
+            eig_targeted(a, shift, 6)
+        assert info.value.shift == shift and refined_calls == [0.0]
+        self._check_path(levels, 1)
+
+
+class TestShiftInvertLevelSets(TestShiftInvert):
+    """:class:`TestShiftInvert` on the level-set LU, ``LEVEL_LU_MIN_DIM`` lowered to 0."""
+
+    LEVEL_SETS = True
+
+
+def _components(dtype):
+    """A matrix of dimension 600 with components of 250, 200, 100 and 40 nodes and 10 isolated ones.
+
+    The nodes of each component are scattered over the basis.
+    """
+    state = np.random.RandomState(21)
+    blocks = []
+    for size in (250, 200, 100, 40):
+        block = sp.random(size, size, density=4.0 / size, random_state=state)
+        if dtype is complex:
+            block = block + 1j * sp.random(size, size, density=4.0 / size, random_state=state)
+        # a path through the component keeps it connected
+        blocks.append(block + sp.diags([np.ones(size - 1)], [1])
+                      - sp.diags(state.uniform(1.0, 3.0, size)))
+    blocks.append(sp.diags(state.uniform(1.0, 2.0, 10)))
+    scatter = state.permutation(600)
+    return sp.block_diag(blocks).tocsr()[scatter][:, scatter].astype(dtype)
+
+
+class TestLevelSetLU:
+    """The block-tridiagonal LU of :class:`linalg._LevelSetLU` and its path in eigensolves."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_components_and_isolated_nodes(self, dtype, monkeypatch, refined_calls):
+        a = _components(dtype)
+        lu = linalg._LevelSetLU(a)
+        assert lu.dtype == a.dtype and sorted(lu.order) == list(range(600))
+        # block tridiagonal in the level-set order, and the order is deterministic
+        permuted = a[lu.order][:, lu.order].tocoo()
+        block = np.searchsorted(lu.bounds, np.arange(600), side="right") - 1
+        assert np.abs(block[permuted.row] - block[permuted.col]).max() <= 1
+        assert np.array_equal(linalg._LevelSetLU(a).order, lu.order)
+        sizes = np.diff(lu.bounds)
+        assert sizes[:-1].min() >= linalg._LEVEL_BLOCK
+        rhs = np.random.default_rng(1).standard_normal((600, 2)).astype(dtype)
+        for b in (rhs[:, 0], rhs):
+            x = lu.solve(b)
+            assert x.dtype == a.dtype
+            assert np.abs(a @ x - b).max() <= 1e-12 * np.abs(b).max()
+        # and as the LU of an eigensolve
+        monkeypatch.setattr(linalg, "LEVEL_LU_MIN_DIM", 0)
+        res = eig_targeted(a, -1.0, 6)
+        dense = np.linalg.eigvals(a.toarray())
+        assert multiset_distance(res.eigenvalues, dense[linalg._nearest_order(dense, -1.0)[:6]]) <= 1e-8
+        assert res.residual_norms.max() <= 1e-10
+        assert refined_calls == [pytest.approx(-1.0 - 1e-3 * np.abs(a.data).max())]
+
+    def test_lmg_sector_matches_superlu(self, monkeypatch):
+        # lmg N=16, k_max=7 parity sector 0, of dimension 5200: the level-set LU by default
+        decomp = decompose(assemble(lmg(16, 0.35, 1.0, 1.0, 1.0), 7))
+        solvable = decomp.solvables[0]
+        assert solvable.matrix.shape[0] >= linalg.LEVEL_LU_MIN_DIM
+        levels = eig_targeted(solvable.matrix, 0.0, 6, involution=solvable.involution)
+        monkeypatch.setattr(linalg, "LEVEL_LU_MIN_DIM", solvable.matrix.shape[0] + 1)
+        superlu = eig_targeted(solvable.matrix, 0.0, 6, involution=solvable.involution)
+        assert np.abs(levels.eigenvalues - superlu.eigenvalues).max() <= 1e-10
+
+    def test_diagonal_pattern_at_the_threshold_is_fast(self):
+        # every node is a component of its own; nothing runs once per node in Python
+        n = linalg.LEVEL_LU_MIN_DIM
+        diagonal = np.arange(1.0, n + 1.0)
+        start = time.perf_counter()
+        lu = linalg._LevelSetLU(sp.diags(diagonal).tocsc())
+        assert time.perf_counter() - start < 1.0
+        assert np.abs(lu.solve(diagonal) - 1.0).max() <= 1e-15
 
 
 class TestKrylovSchur:
