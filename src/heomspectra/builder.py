@@ -2,21 +2,26 @@
 
 The generator acts on a stacked vector holding the row-major vectorization of
 every retained auxiliary matrix, ordered by the lexicographic enumeration of
-:mod:`heomspectra.hierarchy`.  For each index ``(n, m)`` the diagonal block is
+:mod:`heomspectra.hierarchy`.  It is a sum of Kronecker products of a matrix
+on the hierarchy ranks with a matrix on one vectorized block,
 
-    -1j * (H (x) 1 - 1 (x) H^T) - sum_p [ (n_p - m_p) 1j w_p.imag
-                                          + (n_p + m_p) w_p.real ] * 1,
+    1 (x) -1j (H (x) 1 - 1 (x) H^T)  -  diag(damping) (x) 1  +  sum_p sum_moves W (x) T,
 
-with ``w_p = kappa_p + 1j * omega_p`` per damped mode, and the couplings are
+with ``damping(n, m) = sum_p (n_p - m_p) 1j w_p.imag + (n_p + m_p) w_p.real``
+and ``w_p = kappa_p + 1j * omega_p`` per damped mode.  Each mode has four
+moves.  Entry ``(r, s)`` of a move's ``W`` holds its weight when rank ``s``
+is the index ``(n, m)`` of rank ``r`` moved as below, and ``T`` is the
+move's template:
 
-    from (n - e_p, m):  n_p * G_p * (L (x) 1)
-    from (n, m - e_p):  m_p * conj(G_p) * (1 (x) conj(L))
-    from (n + e_p, m):  1 (x) conj(L) - L^dag (x) 1
-    from (n, m + e_p):  L (x) 1 - 1 (x) L^T
+    source index    weight   template T
+    (n - e_p, m)    n_p      G_p * (L (x) 1)
+    (n, m - e_p)    m_p      conj(G_p) * (1 (x) conj(L))
+    (n + e_p, m)    1        1 (x) conj(L) - L^dag (x) 1
+    (n, m + e_p)    1        L (x) 1 - 1 (x) L^T
 
-Couplings that leave the triangular cut are dropped (truncation closure).
-Assembly accumulates triplets and canonicalizes at the end, so the matrix is
-deterministic regardless of traversal order.
+A move that leaves the triangular cut has no entry (truncation closure).  The
+terms are concatenated as triplets and canonicalized once, so the matrix does
+not depend on their order.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ import scipy.sparse as sp
 
 from .errors import MatrixValidationError, SizeBudgetError, StiffnessError
 from .hierarchy import HierarchySpace, enumerate_indices
-from .linalg import Solvable, clean_sparse, devectorize, kron, vectorize, write_triplets
+from .linalg import (Solvable, clean_sparse, devectorize, hamiltonian_superoperator, kron,
+                     vectorize, write_triplets)
 from .models import ModelInstance
 
 #: Largest stacked dimension assemble() will build.
@@ -115,77 +121,52 @@ def assemble(model: ModelInstance, k_max: int) -> HeomLiouvillian:
     space = enumerate_indices(n_modes, k_max)
     d = model.dim
     d2 = d * d
-    dim = len(space) * d2
+    size = len(space)
+    dim = size * d2
     if dim > DEFAULT_DIMENSION_BUDGET:
         raise SizeBudgetError(
             f"stacked dimension {dim} exceeds the budget {DEFAULT_DIMENSION_BUDGET}"
         )
 
-    identity = sp.identity(d, dtype=complex, format="csr")
-    h = model.hamiltonian
-    h_part = (-1j * (kron(h, identity) - kron(identity, h.T))).tocoo()
+    indices = np.asarray(space.indices, dtype=np.int64)
+    n_parts = indices[:, :n_modes]
+    m_parts = indices[:, n_modes:]
     w = _mode_decays(model)
-
-    slot_templates = []
+    dampings = (n_parts - m_parts) @ (1j * w.imag) + (n_parts + m_parts) @ w.real
+    # -diag(damping) (x) 1 placed as is: a product with 1 + 0j could flip a zero's sign
+    diagonal = np.repeat(-dampings, d2)
+    damped = np.flatnonzero(diagonal)
+    terms = [
+        sp.kron(sp.identity(size), hamiltonian_superoperator(model.hamiltonian), format="coo"),
+        sp.coo_matrix((diagonal[damped], (damped, damped)), shape=(dim, dim)),
+    ]
+    identity = sp.identity(d, dtype=complex, format="csr")
     for p, (bath_index, term) in enumerate(model.slots()):
         coupling = model.baths[bath_index].coupling
         left = kron(coupling, identity)
         right_conj = kron(identity, coupling.conj())
-        slot_templates.append(
-            (
-                (term.amplitude * left).tocoo(),                      # lower_n / n_p
-                (np.conj(term.amplitude) * right_conj).tocoo(),       # lower_m / m_p
-                (right_conj - kron(coupling.conj().T, identity)).tocoo(),
-                (left - kron(identity, coupling.T)).tocoo(),
-            )
+        moves = (  # (slot moved, step to the source index, template)
+            (p, -1, term.amplitude * left),
+            (n_modes + p, -1, np.conj(term.amplitude) * right_conj),
+            (p, +1, right_conj - kron(coupling.conj().T, identity)),
+            (n_modes + p, +1, left - kron(identity, coupling.T)),
         )
+        for slot, step, template in moves:
+            moved = indices.copy()
+            moved[:, slot] += step
+            sources = space.ranks(moved)
+            rows = np.flatnonzero(sources >= 0)
+            weights = indices[rows, slot] if step < 0 else np.ones(rows.size)
+            hops = sp.coo_matrix((weights.astype(float), (rows, sources[rows])),
+                                 shape=(size, size))
+            terms.append(sp.kron(hops, template, format="coo"))
 
-    rows: List[np.ndarray] = []
-    cols: List[np.ndarray] = []
-    data: List[np.ndarray] = []
-    diag_positions = np.arange(d2, dtype=np.int64)
-
-    def place(template: sp.coo_matrix, block_row: int, block_col: int, scale=1.0):
-        if template.nnz == 0 or scale == 0:
-            return
-        rows.append(template.row.astype(np.int64) + block_row * d2)
-        cols.append(template.col.astype(np.int64) + block_col * d2)
-        data.append(template.data * scale)
-
-    indices = np.asarray(space.indices, dtype=np.int64)
-    n_parts = indices[:, :n_modes]
-    m_parts = indices[:, n_modes:]
-    dampings = (n_parts - m_parts) @ (1j * w.imag) + (n_parts + m_parts) @ w.real
-
-    for rank, index in enumerate(space.indices):
-        place(h_part, rank, rank)
-        if dampings[rank] != 0:
-            rows.append(diag_positions + rank * d2)
-            cols.append(diag_positions + rank * d2)
-            data.append(np.full(d2, -dampings[rank], dtype=complex))
-        for p, (lower_n, lower_m, raise_n, raise_m) in enumerate(slot_templates):
-            n_val = index[p]
-            m_val = index[n_modes + p]
-            if n_val:
-                source = space.neighbor(index, p, "n", -1)
-                place(lower_n, rank, source, scale=n_val)
-            if m_val:
-                source = space.neighbor(index, p, "m", -1)
-                place(lower_m, rank, source, scale=m_val)
-            source = space.neighbor(index, p, "n", +1)
-            if source is not None:
-                place(raise_n, rank, source)
-            source = space.neighbor(index, p, "m", +1)
-            if source is not None:
-                place(raise_m, rank, source)
-
-    if rows:
-        matrix = sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dim, dim),
-        )
-    else:
-        matrix = sp.coo_matrix((dim, dim), dtype=complex)
+    matrix = sp.coo_matrix(
+        (np.concatenate([t.data for t in terms]),
+         (np.concatenate([t.row for t in terms]).astype(np.int64),
+          np.concatenate([t.col for t in terms]).astype(np.int64))),
+        shape=(dim, dim),
+    )
     return HeomLiouvillian(
         matrix=clean_sparse(matrix),
         hierarchy=space,
@@ -264,14 +245,10 @@ def adjoint_permutation(hierarchy: HierarchySpace, d_s: int) -> np.ndarray:
     """The basis permutation ``P`` of the adjoint involution ``J v = conj(v[P])``.
 
     Block rank ``r`` goes to the rank of its swapped index and entry
-    ``(i, j)`` to ``(j, i)``.  ``P`` is its own inverse.  The swapped indices
-    are the retained set again, so sorting them lexicographically, as the
-    ranks are, orders them by the rank they are swapped to, and that order is
-    the swap itself.
+    ``(i, j)`` to ``(j, i)``.  ``P`` is its own inverse.
     """
     indices = np.asarray(hierarchy.indices, dtype=np.int64).reshape(len(hierarchy), -1)
-    swapped = np.roll(indices, hierarchy.n_modes, axis=1)
-    swap = np.lexsort(swapped[:, ::-1].T)
+    swap = hierarchy.ranks(np.roll(indices, hierarchy.n_modes, axis=1))
     entries = np.arange(d_s)
     return (swap[:, None, None] * (d_s * d_s) + entries[None, None, :] * d_s
             + entries[None, :, None]).ravel()

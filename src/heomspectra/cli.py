@@ -46,7 +46,7 @@ from .builder import HeomLiouvillian, assemble, export_matrix
 from .convergence import ConvergenceTrace, auto_cutoff, auto_truncate
 from .embedding import dimension_report
 from .errors import ConfigError, MatrixValidationError
-from .linalg import limit_blas_threads, read_triplets
+from .linalg import as_dense, limit_blas_threads, read_triplets
 from .models import ModelInstance, BathSpec, BathTerm, custom, lmg, two_mode_dicke, z2_lmg
 from .operators import SpinSpace, spin_operators
 from .spectra import Target, check_properties, distinct_from_leading, spectrum, steady_state
@@ -313,9 +313,12 @@ def parse_config(path) -> RunConfig:
 
 
 def _read_matrix(file: str, path: str) -> np.ndarray:
-    """A triplet matrix file as a dense array; an unreadable one is a config error at ``path``."""
+    """A triplet matrix file as a dense array.
+
+    An unreadable file or one with a NaN or Inf entry is a config error at ``path``.
+    """
     try:
-        return read_triplets(file).toarray()
+        return as_dense(read_triplets(file))
     except MatrixValidationError as exc:
         raise ConfigError(path, str(exc)) from exc
 

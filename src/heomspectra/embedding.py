@@ -22,7 +22,8 @@ import scipy.sparse as sp
 from .builder import HeomState, _integrate
 from .errors import EmbeddingUnsupportedError, MatrixValidationError, SizeBudgetError
 from .hierarchy import count as hierarchy_count
-from .linalg import Solvable, clean_sparse, devectorize, kron, vectorize
+from .linalg import (Solvable, clean_sparse, devectorize, hamiltonian_superoperator, kron,
+                     vectorize)
 from .models import ModelInstance
 from .spectra import _null_vector, canonical_physical_state
 from .symmetry import _sector_charges
@@ -135,7 +136,7 @@ def build_lm(spec: EmbeddingSpec) -> sp.csr_matrix:
         )
     identity = sp.identity(dim, dtype=complex, format="csr")
     h = total_hamiltonian(spec)
-    generator = -1j * (kron(h, identity) - kron(identity, h.T))
+    generator = hamiltonian_superoperator(h)
     for p, (_, term) in enumerate(spec.model.slots()):
         ops = boson_ops(spec.fock_cutoffs[p])
         a = _mode_operator(spec, p, ops["a"])

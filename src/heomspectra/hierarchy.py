@@ -11,7 +11,9 @@ each depth, orders indices lexicographically.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
+
+import numpy as np
 
 from .errors import MatrixValidationError, SizeBudgetError
 
@@ -48,47 +50,51 @@ def _compositions(length: int, budget: int) -> Iterator[FlatIndex]:
 
 
 class HierarchySpace:
-    """Enumerated index set with a rank map and neighbor lookup; ``indices[r]`` has rank ``r``."""
+    """Enumerated index set with a vectorized rank lookup; ``indices[r]`` has rank ``r``."""
 
-    __slots__ = ("n_modes", "k_max", "indices", "_rank")
+    __slots__ = ("n_modes", "k_max", "indices", "_tails")
 
     def __init__(self, n_modes: int, k_max: int, indices: Sequence[FlatIndex]):
         self.n_modes = n_modes
         self.k_max = k_max
         self.indices: Tuple[FlatIndex, ...] = tuple(indices)
-        self._rank = {idx: r for r, idx in enumerate(self.indices)}
+        # _tails[i, b + 1]: tuples of length 2 * n_modes - i with sum <= b, for b = -1..k_max.
+        width = 2 * n_modes
+        self._tails = np.array([[math.comb(width - i + b, width - i) for b in range(-1, k_max + 1)]
+                                for i in range(width)], dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.indices)
 
-    def rank(self, index: FlatIndex) -> int:
-        return self._rank[tuple(index)]
+    def ranks(self, indices) -> np.ndarray:
+        """Ranks of the rows of an array of flat indices, -1 for a row outside the cut.
 
-    def swapped(self, index: FlatIndex) -> FlatIndex:
-        """The index with the ``n`` and ``m`` parts exchanged."""
-        return index[self.n_modes :] + index[: self.n_modes]
-
-    def neighbor(
-        self, index, mode: int, part: str, delta: int
-    ) -> Optional[int]:
-        """Rank of the index shifted by ``delta`` in one slot, or ``None``.
-
-        ``index`` may be a flat tuple or a rank.  ``part`` selects the ``n``
-        or ``m`` vector.  ``None`` marks moves leaving the non-negative
-        orthant or crossing the truncation boundary.
+        A rank is counted: the indices before ``a`` that first differ at
+        position ``i`` number ``tails(i, b) - tails(i, b - a_i)``, with ``b``
+        the depth left before ``i``.  An array that is not a stack of
+        ``2 * n_modes``-entry rows raises :class:`MatrixValidationError`.
         """
-        if isinstance(index, int):
-            index = self.indices[index]
-        if part not in ("n", "m"):
-            raise MatrixValidationError("part must be 'n' or 'm'")
-        if not 0 <= mode < self.n_modes:
-            raise MatrixValidationError(f"mode {mode} out of range")
-        pos = mode if part == "n" else self.n_modes + mode
-        value = index[pos] + delta
-        if value < 0:
-            return None
-        shifted = index[:pos] + (value,) + index[pos + 1 :]
-        return self._rank.get(shifted)
+        a = np.asarray(indices, dtype=np.int64)
+        if a.ndim != 2 or a.shape[1] != 2 * self.n_modes:
+            raise MatrixValidationError(
+                f"flat indices of {self.n_modes} modes have {2 * self.n_modes} entries, "
+                f"got an array of shape {a.shape}"
+            )
+        after = np.clip(self.k_max - np.cumsum(a, axis=1), -1, self.k_max)
+        before = np.clip(after + a, -1, self.k_max)
+        columns = np.arange(a.shape[1])
+        ranks = (self._tails[columns, before + 1] - self._tails[columns, after + 1]).sum(axis=1)
+        inside = ((a >= 0) & (a <= self.k_max)).all(axis=1) & (a.sum(axis=1) <= self.k_max)
+        return np.where(inside, ranks, -1)
+
+    def rank(self, index: FlatIndex) -> int:
+        """Rank of one flat index; one outside the cut raises :class:`MatrixValidationError`."""
+        found = int(self.ranks([tuple(index)])[0])
+        if found < 0:
+            raise MatrixValidationError(
+                f"index {tuple(index)} lies outside the hierarchy cut k_max={self.k_max}"
+            )
+        return found
 
 
 def enumerate_indices(n_modes: int, k_max: int) -> HierarchySpace:

@@ -114,6 +114,12 @@ def kron(a: MatrixLike, b: MatrixLike) -> sp.csr_matrix:
                                 sp.csr_matrix(b, dtype=complex), format="csr"))
 
 
+def hamiltonian_superoperator(h: MatrixLike) -> sp.csr_matrix:
+    """``rho -> -1j [h, rho]`` on the row-major vectorization: ``-1j (h (x) 1 - 1 (x) h^T)``."""
+    identity = sp.identity(h.shape[0], dtype=complex, format="csr")
+    return -1j * (kron(h, identity) - kron(identity, h.T))
+
+
 def vectorize(rho: MatrixLike) -> np.ndarray:
     """Row-major vectorization of a matrix."""
     return as_dense(rho).ravel(order="C")
@@ -338,14 +344,16 @@ def _refined_inverse(a: sp.spmatrix, sigma: complex) -> Tuple[spla.LinearOperato
 def _square_sparse(a: MatrixLike, tol: float) -> Tuple[sp.csr_matrix, float]:
     """``a`` as CSR with its largest entry, the scale of a shift's displacement.
 
-    A non-square matrix or a ``tol`` that is not positive raises
-    :class:`MatrixValidationError`.
+    A non-square matrix, one with a NaN or Inf entry or a ``tol`` that is
+    not positive raises :class:`MatrixValidationError`.
     """
     if tol <= 0:
         raise MatrixValidationError("tol must be > 0")
     m = clean_sparse(a) if not sp.issparse(a) else a.tocsr().astype(complex, copy=False)
     if m.shape[0] != m.shape[1]:
         raise MatrixValidationError(f"a targeted solve requires a square matrix, got {m.shape}")
+    if not np.isfinite(m.data).all():
+        raise MatrixValidationError("matrix contains NaN or Inf entries")
     return m, float(np.abs(m.data).max()) if m.nnz else 1.0
 
 

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from heomspectra.builder import (
     HeomState,
@@ -14,8 +15,9 @@ from heomspectra.builder import (
     propagate,
 )
 from heomspectra.errors import MatrixValidationError, SizeBudgetError
-from heomspectra.linalg import read_triplets
-from heomspectra.models import BathSpec, BathTerm, custom, two_mode_dicke
+from heomspectra.hierarchy import enumerate_indices
+from heomspectra.linalg import clean_sparse, kron, read_triplets
+from heomspectra.models import BathSpec, BathTerm, custom, lmg, two_mode_dicke
 from heomspectra.operators import qubit_operators
 
 from conftest import make_qubit_decay, multiset_distance
@@ -56,6 +58,85 @@ def block(liouv, row, col):
     d2 = liouv.d_s ** 2
     r, c = liouv.hierarchy.rank(row), liouv.hierarchy.rank(col)
     return liouv.matrix[r * d2 : (r + 1) * d2, c * d2 : (c + 1) * d2].toarray()
+
+
+def reference_matrix(model, k_max):
+    """The generator placed block by block, rank by rank, as triplets."""
+    space = enumerate_indices(model.mode_count, k_max)
+    rank_of = {index: rank for rank, index in enumerate(space.indices)}
+    n_modes, d = model.mode_count, model.dim
+    d2 = d * d
+    identity = sp.identity(d, dtype=complex, format="csr")
+    h = model.hamiltonian
+    h_part = (-1j * (kron(h, identity) - kron(identity, h.T))).tocoo()
+    templates = []
+    for bath_index, term in model.slots():
+        coupling = model.baths[bath_index].coupling
+        left = kron(coupling, identity)
+        right_conj = kron(identity, coupling.conj())
+        templates.append(((term.amplitude * left).tocoo(),
+                          (np.conj(term.amplitude) * right_conj).tocoo(),
+                          (right_conj - kron(coupling.conj().T, identity)).tocoo(),
+                          (left - kron(identity, coupling.T)).tocoo()))
+    w = np.array([t.decay + 1j * t.frequency for _, t in model.slots()])
+    indices = np.asarray(space.indices, dtype=np.int64)
+    n_parts, m_parts = indices[:, :n_modes], indices[:, n_modes:]
+    dampings = (n_parts - m_parts) @ (1j * w.imag) + (n_parts + m_parts) @ w.real
+    rows, cols, data = [], [], []
+
+    def place(template, block_row, block_col, scale=1.0):
+        rows.append(template.row.astype(np.int64) + block_row * d2)
+        cols.append(template.col.astype(np.int64) + block_col * d2)
+        data.append(template.data * scale)
+
+    def source(index, slot, step):
+        shifted = list(index)
+        shifted[slot] += step
+        return rank_of.get(tuple(shifted))
+
+    for rank, index in enumerate(space.indices):
+        place(h_part, rank, rank)
+        damping = dampings[rank]
+        if damping != 0:
+            diagonal = np.arange(d2, dtype=np.int64) + rank * d2
+            rows.append(diagonal)
+            cols.append(diagonal)
+            data.append(np.full(d2, -damping, dtype=complex))
+        for p, (lower_n, lower_m, raise_n, raise_m) in enumerate(templates):
+            if index[p]:
+                place(lower_n, rank, source(index, p, -1), scale=index[p])
+            if index[n_modes + p]:
+                place(lower_m, rank, source(index, n_modes + p, -1), scale=index[n_modes + p])
+            for slot, template in ((p, raise_n), (n_modes + p, raise_m)):
+                if source(index, slot, +1) is not None:
+                    place(template, rank, source(index, slot, +1))
+    dim = len(space) * d2
+    return clean_sparse(sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)))
+
+
+def three_mode_model():
+    """Two baths on a qutrit, one with a complex and a zero amplitude: three modes."""
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    first = rng.standard_normal((3, 3))
+    second = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    baths = [BathSpec(first + first.T, (BathTerm(0.7 + 0.3j, 1.1, 0.5), BathTerm(0.0, -0.4, 0.9))),
+             BathSpec(second, (BathTerm(0.25, 0.3, 1.3),))]
+    return custom(a + a.conj().T, baths)
+
+
+@pytest.mark.parametrize("make, k_max", [
+    (lambda: two_mode_dicke(2, 1.0, 1.0, 5.0, 5.0), 3),
+    (lambda: lmg(6, 0.35, 1.0, 1.0, 1.0), 0),
+    (three_mode_model, 4),
+], ids=["two_mode_dicke", "lmg_k0", "three_modes"])
+def test_assembly_is_byte_identical_to_the_rank_loop(make, k_max):
+    model = make()
+    matrix, reference = assemble(model, k_max).matrix, reference_matrix(model, k_max)
+    for name in ("indptr", "indices", "data"):
+        ours, theirs = getattr(matrix, name), getattr(reference, name)
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
 
 
 class TestBlockTemplates:
@@ -293,10 +374,12 @@ class TestPropagate:
 
 def test_import_leaves_the_integrator_unloaded():
     # scipy.integrate is imported by the one integrator when it first runs
-    code = "import sys, heomspectra; print('scipy.integrate' in sys.modules)"
+    # and neither the graph nor the spatial modules of scipy load at all
+    code = ("import sys, heomspectra; print(sorted(m for m in ('scipy.integrate', "
+            "'scipy.sparse.csgraph', 'scipy.spatial') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_generators_compare_by_identity(qubit_decay_model):
@@ -311,3 +394,10 @@ def test_export_round_trip(tmp_path, qubit_decay_model):
     export_matrix(liouv, path)
     back = read_triplets(path)
     assert np.abs((back - liouv.matrix).toarray()).max() <= 1e-15
+
+
+def test_block_outside_the_cut_is_a_validation_error(qubit_decay_model):
+    state = initial_state(np.diag([1.0, 0.0]), assemble(qubit_decay_model, 3).hierarchy)
+    with pytest.raises(MatrixValidationError, match=r"\(5, 0\).*k_max=3"):
+        state.block((5,), (0,))
+    assert np.allclose(state.block((0,), (0,)), np.diag([1.0, 0.0]))

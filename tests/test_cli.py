@@ -723,6 +723,13 @@ BAD_VALUES = [
     ({"observables": [{"name": "X", "file": "wide.txt"}]}, "observables[0]"),
     ({"model": "custom", "params": {}, "sweep": {"parameter": "x", "grid": [0.0]},
       "custom": {**CUSTOM, "hamiltonian_file": "bad.txt"}}, "custom.hamiltonian_file"),
+    # a matrix file with a NaN or Inf entry
+    ({"observables": [{"name": "X", "file": "nan.txt"}]}, "observables[0].file"),
+    ({"model": "custom", "params": {}, "sweep": {"parameter": "x", "grid": [0.0]},
+      "custom": {**CUSTOM, "hamiltonian_file": "inf.txt"}}, "custom.hamiltonian_file"),
+    ({"model": "custom", "params": {}, "sweep": {"parameter": "x", "grid": [0.0]},
+      "custom": {**CUSTOM, "baths": [{"coupling_file": "nan.txt", "terms": [TERM]}]}},
+     "custom.baths[0].coupling_file"),
     # fields without effect: no truncation scan runs at an integer k_max
     ({"epsilon": 0.5}, "epsilon"),
     ({"k_limit": 5}, "k_limit"),
@@ -737,6 +744,8 @@ def test_bad_values_exit_2_without_traceback(tmp_path, overrides, field):
         write_triplets(qubit_operators()["sigma_z"], tmp_path / name)
     (tmp_path / "bad.txt").write_text("2 2 x\n")
     (tmp_path / "wide.txt").write_text("2 3 0\n")
+    (tmp_path / "nan.txt").write_text("2 2 2\n0 0 nan 0\n1 1 1 0\n")
+    (tmp_path / "inf.txt").write_text("2 2 2\n0 0 inf 0\n1 1 -1 0\n")
     proc = run_cli(tmp_path, write_config(tmp_path, **overrides))
     assert proc.returncode == 2
     assert f"config error: {field}:" in proc.stderr

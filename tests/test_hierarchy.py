@@ -1,6 +1,7 @@
 import math
 from collections import deque
 
+import numpy as np
 import pytest
 
 from heomspectra.errors import MatrixValidationError, SizeBudgetError
@@ -65,25 +66,53 @@ def test_enumeration_budget(monkeypatch):
         enumerate_indices(3, 10)
 
 
+def moved(space, index, slot, step):
+    """Rank of ``index`` moved by ``step`` in one flat slot, through the rank lookup; -1 outside."""
+    shifted = np.array([index])
+    shifted[0, slot] += step
+    return int(space.ranks(shifted)[0])
+
+
 def test_neighbor_moves():
     space = enumerate_indices(2, 2)
     start = (0, 0, 0, 0)
-    up = space.neighbor(start, 0, "n", +1)
+    up = moved(space, start, 0, +1)
     assert space.indices[up] == (1, 0, 0, 0)
-    assert space.neighbor(start, 0, "m", -1) is None  # below zero
+    assert moved(space, start, 2, -1) == -1  # below zero
     deep = (1, 1, 0, 0)
-    assert space.neighbor(deep, 1, "m", +1) is None  # crosses the cut
+    assert moved(space, deep, 3, +1) == -1  # crosses the cut
     # opposite move returns to the start
-    back = space.neighbor(space.indices[up], 0, "n", -1)
+    back = moved(space, space.indices[up], 0, -1)
     assert space.indices[back] == start
 
 
 def test_neighbor_validation():
     space = enumerate_indices(1, 1)
     with pytest.raises(MatrixValidationError):
-        space.neighbor((0, 0), 0, "x", 1)
+        space.ranks(np.zeros((1, 3), dtype=int))  # a slot past the last mode
     with pytest.raises(MatrixValidationError):
-        space.neighbor((0, 0), 5, "n", 1)
+        space.ranks(np.zeros(2, dtype=int))  # not an array of rows
+
+
+def test_rank_outside_the_cut_names_the_index():
+    space = enumerate_indices(1, 3)
+    for index in ((9, 9), (2, 2), (-1, 0)):
+        with pytest.raises(MatrixValidationError, match=rf"\({index[0]}, {index[1]}\).*k_max=3"):
+            space.rank(index)
+    with pytest.raises(MatrixValidationError):
+        space.rank((0,))
+    assert space.ranks([[9, 9], [-1, 0], [0, 3], [3, 0]]).tolist() == [-1, -1, 3, 9]
+    assert space.ranks([[2**62, 2**62]]).tolist() == [-1]  # a depth that wraps in int64
+
+
+def test_ranks_are_exact_on_many_modes():
+    # 40 slots: a mixed-radix key with radix k_max + 1 = 4 needs 80 bits
+    space = enumerate_indices(20, 3)
+    indices = np.array(space.indices)
+    assert (space.ranks(indices) == np.arange(len(space))).all()
+    assert space.rank((0,) * 39 + (3,)) == 3
+    assert space.rank((0,) * 38 + (1, 0)) == 4
+    assert space.rank((3,) + (0,) * 39) == len(space) - 1
 
 
 @pytest.mark.parametrize("m,k", [(1, 4), (2, 3), (3, 2)])
@@ -95,11 +124,10 @@ def test_bfs_connectivity(m, k):
     while queue:
         rank = queue.popleft()
         idx = space.indices[rank]
-        for mode in range(m):
-            for part in ("n", "m"):
-                for delta in (+1, -1):
-                    nb = space.neighbor(idx, mode, part, delta)
-                    if nb is not None and nb not in seen:
-                        seen.add(nb)
-                        queue.append(nb)
+        for slot in range(2 * m):
+            for step in (+1, -1):
+                nb = moved(space, idx, slot, step)
+                if nb >= 0 and nb not in seen:
+                    seen.add(nb)
+                    queue.append(nb)
     assert seen == set(range(len(space)))

@@ -187,6 +187,13 @@ class TestEigTargeted:
             solvable.eigs(0.0, 2)
         assert refined_calls == [0.0, 0.0]
 
+    def test_non_finite_sparse_matrix_is_rejected(self, refined_calls):
+        a = sp.identity(linalg.TARGETED_DENSE_FALLBACK + 100, dtype=complex, format="lil")
+        a[3, 5] = np.nan
+        with pytest.raises(MatrixValidationError, match="NaN or Inf"):
+            eig_targeted(a.tocsr(), 0.0, 2)
+        assert refined_calls == []
+
 
 class TestShiftInvert:
     """One refined LU per solve, SuperLU's or the level-set LU; a miss raises at once.
@@ -449,6 +456,13 @@ class TestNullIteration:
             solvable.null(0.0, 6)
         assert info.value.suggested_shift != 0.0
         assert refined_calls == [0.0] and solvable._solves == {}
+
+    def test_non_finite_matrix_is_rejected(self, matrix, refined_calls):
+        matrix = matrix.copy()
+        matrix.data[7] = np.inf
+        with pytest.raises(MatrixValidationError, match="NaN or Inf"):
+            Solvable(matrix).null(0.0, 6)
+        assert refined_calls == []
 
 
 def _decomposition(name):
