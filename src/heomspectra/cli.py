@@ -2,16 +2,20 @@
 
 A JSON config selects a model, a list of sizes, a sweep grid and a list of
 analyses; results land in ``results.csv`` with one row per (size, grid point,
-analysis, key).  Each grid point runs in its own forked child, at most
-``workers`` at once and never more than the usable cores (the CPU affinity
-of the process), and is checkpointed to its own fragment file so long sweeps
-can be resumed.  A point that raises is checkpointed with its error; a
-child that dies fails only its point (exit 1), and a rerun recomputes it.
-Each point may use ``cores // min(workers, cores)`` processes: a point of a
+analysis, key).  Each grid point runs in its own child process (forked, or
+spawned where the platform has no ``fork``), at most ``workers`` at once and
+never more than the usable cores (the CPU affinity of the process), and is
+checkpointed to its own fragment file so long sweeps can be resumed.  A
+point that raises is checkpointed with its error; a child that dies fails
+only its point (exit 1), and a rerun recomputes it.  With ``fork``, each
+point may use ``cores // min(workers, cores)`` processes: a point of a
 symmetric model whose analyses read sector spectra solves those sectors in
-its own process and in forked sector children at once (:func:`_presolve`).
-When more than one process of a run may solve at once, each point child
-lowers SciPy's and numpy's bundled OpenBLAS to one thread.
+its own process and in forked sector children at once (:func:`_presolve`);
+without it, each point uses one.  Every child, of the CLI or of a point,
+ignores SIGINT and ends within 0.1 s of its parent, also when the parent is
+killed (:func:`_fork`).  When more than one process of a run may solve at
+once, each point child lowers SciPy's and numpy's bundled OpenBLAS to one
+thread.
 
 The config schema is :data:`CONFIG_FIELDS` and the tables it nests; the CLI
 section of the README documents each field and gives an example.  Matrix
@@ -549,8 +553,8 @@ NULL_VECTOR_ANALYSES = ("steady_state", "ssb")
 SECTOR_ANALYSES = ("gap", "sectors", "ssb")
 
 
-def _sector_solves(decomp: SectorDecomposition, charges: Sequence[int], solver: dict):
-    """``(charge, solve)`` of each of ``charges`` in turn, up to the first solve that raises.
+def _solve_sectors(send, decomp: SectorDecomposition, charges: Sequence[int], solver: dict):
+    """Solve ``charges`` in turn, sending each ``(charge, solve)``, up to the first that raises.
 
     A charge left out is solved again by the analysis that reads it, which
     then raises the error of a serial run.
@@ -561,7 +565,7 @@ def _sector_solves(decomp: SectorDecomposition, charges: Sequence[int], solver: 
         except Exception as exc:  # raised again by the analysis that reads the charge
             log.debug("sector %d: %s; its analysis solves it again", charge, exc)
             return
-        yield charge, result
+        send((charge, result))
 
 
 def _exit_without(parent: int) -> None:
@@ -571,34 +575,56 @@ def _exit_without(parent: int) -> None:
     os._exit(1)
 
 
-def _sector_child(decomp: SectorDecomposition, charges: Sequence[int], solver: dict,
-                  writer, parent: int) -> None:
-    # a point child that dies, or that run terminates, takes its sector children with it
+def _forked(parent: int, writer, work, args) -> None:
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its children
     threading.Thread(target=_exit_without, args=(parent,), daemon=True).start()
-    for solved in _sector_solves(decomp, charges, solver):
-        writer.send(solved)
+    work(writer.send, *args)
+
+
+def _fork(context, work, *args):
+    """Run ``work(send, *args)`` in a child of ``context``; returns ``(process, reader)``.
+
+    ``send`` writes to ``reader``'s pipe; the writer is closed here, so EOF means the child
+    is gone.  The child ignores SIGINT and ends within 0.1 s of its parent, even a killed one.
+    """
+    reader, writer = context.Pipe(duplex=False)
+    process = context.Process(target=_forked, args=(os.getpid(), writer, work, args))
+    with writer:
+        process.start()
+    return process, reader
+
+
+def _stop(children) -> None:
+    """Close, kill and join each ``(process, reader)`` of ``children``."""
+    for process, reader in children:
+        reader.close()
+        process.kill()  # a child still running here is stopped by an error or an interrupt
+        process.join()
 
 
 def _presolve(point: _Point, processes: int) -> None:
     """Solve the sectors the point's analyses read in up to ``processes`` processes at once.
 
-    Only a symmetric model with an analysis of :data:`SECTOR_ANALYSES`
-    needs them: every charge for ``sectors``, otherwise the representative
-    charges.  They are dealt to the processes by dimension, largest first to
-    the least loaded.  This process solves the first share and forked
-    children the others; each child's solves come back through a pipe and
-    are stored under the keys the analyses read, so the analyses find them
-    as after a serial run.  A charge whose solve raised, or whose child
-    died, is not stored, so its analysis solves it here.  Every child is
-    joined before this returns or raises.
+    Only a symmetric model with an analysis of :data:`SECTOR_ANALYSES` reads
+    them, and only the charges a serial run solves: every charge for
+    ``sectors``, otherwise the representative charges for ``gap``, otherwise
+    charge 1 for ``ssb``, whose steady state takes charge 0 from the null
+    iteration.  They are dealt to the processes by dimension, largest first
+    to the least loaded.  This process solves the first share and forked
+    children the others (:func:`_fork`, so ``processes`` above 1 needs
+    ``fork``); each child's solves come back through a pipe and are stored
+    under the keys the analyses read, so the analyses find them as after a
+    serial run.  A charge whose solve raised, or whose child died, is not
+    stored, so its analysis solves it here.  Every child is joined before
+    this returns or raises.
     """
-    config = point.config
-    if (processes < 2 or not hasattr(os, "fork") or point.model.symmetry is None
-            or not set(SECTOR_ANALYSES) & set(config.analyses)):
+    analyses = point.config.analyses
+    if processes < 2 or point.model.symmetry is None or not set(SECTOR_ANALYSES) & set(analyses):
         return
     decomp = point.decomp
-    charges = (decomp.charges_present() if "sectors" in config.analyses
-               else list(decomp.representative_charges(config.shift)))
+    charges = (decomp.charges_present() if "sectors" in analyses
+               else list(decomp.representative_charges(point.config.shift)) if "gap" in analyses
+               else [1])
     shares: List[List[int]] = [[] for _ in range(min(processes, len(charges)))]
     loads = [0] * len(shares)
     for charge in sorted(charges, key=decomp.dimension, reverse=True):
@@ -610,15 +636,9 @@ def _presolve(point: _Point, processes: int) -> None:
     children = []
     try:
         for share in shares[1:]:
-            reader, writer = context.Pipe(duplex=False)
-            process = context.Process(target=_sector_child,
-                                      args=(decomp, share, solver, writer, os.getpid()))
-            children.append((process, reader, share))
-            with writer:  # closed here, so the reader sees EOF once the child is gone
-                process.start()
-        for _ in _sector_solves(decomp, shares[0], solver):
-            pass  # each solve is stored on its sector
-        for process, reader, share in children:
+            children.append(_fork(context, _solve_sectors, decomp, share, solver))
+        _solve_sectors(lambda solved: None, decomp, shares[0], solver)  # stored on the sectors
+        for (process, reader), share in zip(children, shares[1:]):
             unsent = list(share)
             while unsent:
                 try:
@@ -632,11 +652,7 @@ def _presolve(point: _Point, processes: int) -> None:
                 log.warning("a sector child died with signal %d; the point solves its unsent "
                             "charges %s itself", -process.exitcode, unsent)
     finally:
-        for process, reader, _ in children:
-            reader.close()
-            if process.pid is not None:
-                process.kill()  # a child still running here is stopped by an error
-                process.join()
+        _stop(children)
 
 
 def execute_point(config: RunConfig, index: int, size: int, sweep_value: float,
@@ -685,19 +701,15 @@ def _describe(job, message: str) -> str:
     return f"point {index} (N={size}, {config.sweep_parameter}={value}): {message}"
 
 
-def _point_worker(job, processes: int):
-    try:
-        return execute_point(*job, processes=processes), None
-    except Exception as exc:  # crash isolation: record and continue
-        return (job[1], []), _describe(job, str(exc))
-
-
-def _child(job, writer, processes: int, solving: int) -> None:
+def _point_worker(send, job, processes: int, solving: int) -> None:
     """Run one point in up to ``processes`` processes; ``solving`` of the run's may solve at once."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its children
     if solving > 1:  # two BLAS threads per process would contend for the cores
         limit_blas_threads(1)
-    writer.send(_point_worker(job, processes))
+    try:
+        outcome = execute_point(*job, processes=processes), None
+    except Exception as exc:  # crash isolation: record and continue
+        outcome = (job[1], []), _describe(job, str(exc))
+    send(outcome)
 
 
 def _format_row(row: dict) -> str:
@@ -801,19 +813,17 @@ def run(config: RunConfig) -> int:
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     slots = min(config.workers, cores)
-    processes = cores // slots  # the cores of each point, over which it spreads its sectors
+    # the processes of each point, over which it spreads its sectors in forked children
+    processes = cores // slots if context.get_start_method() == "fork" else 1
     running = {}  # the read end of each child's pipe -> (process, job)
     try:
         while pending or running:
             while pending and len(running) < slots:
                 job = pending.pop(0)
-                reader, writer = context.Pipe(duplex=False)
-                process = context.Process(target=_child,
-                                          args=(job, writer, processes, slots * processes))
                 with _interrupts_held():  # a child is always started and recorded, or neither
-                    process.start()
+                    process, reader = _fork(context, _point_worker, job, processes,
+                                            slots * processes)
                     running[reader] = process, job
-                writer.close()  # so the reader sees EOF once the child is gone
             for reader in multiprocessing.connection.wait(list(running)):
                 process, job = running.pop(reader)
                 try:
@@ -828,10 +838,7 @@ def run(config: RunConfig) -> int:
                     outcome = (job[1], None), _describe(job, f"worker died with {death}")
                 _record(*outcome)
     finally:
-        for reader, (process, _) in running.items():
-            process.terminate()
-            process.join()
-            reader.close()
+        _stop((process, reader) for reader, (process, _) in running.items())
 
     lines = [
         "# heomspectra results",

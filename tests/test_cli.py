@@ -1,3 +1,4 @@
+import contextlib
 import json
 import logging
 import multiprocessing
@@ -416,13 +417,17 @@ class TestCheckpoints:
         assert re.search(r'^version = "(.*)"$', pyproject, re.M).group(1) == __version__
 
 
+def cli_env():
+    """The environment of a CLI subprocess: this one, with the package on its path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+
+
 def run_cli(tmp_path, config_path, entry=("-m", "heomspectra.cli")):
     """Run the CLI as a subprocess on ``config_path``; ``entry`` starts it."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     return subprocess.run(
         [sys.executable, *entry, "--config", str(config_path)],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        capture_output=True, text=True, env=cli_env(), cwd=tmp_path, timeout=120,
     )
 
 
@@ -461,14 +466,28 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
+# The CLI with each point's child appending its pid to ./heartbeat every 0.05 s, for a minute.
+HEARTBEAT = """
+import os, sys, time
+from heomspectra import cli
+
+def beat(config, index, size, value, **options):
+    for _ in range(1200):
+        with open("heartbeat", "a") as file:
+            file.write(f"{os.getpid()}\\n")
+        time.sleep(0.05)
+
+cli.execute_point = beat
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 class TestInterrupt:
     def test_sigint_exits_130_and_a_rerun_resumes(self, tmp_path, monkeypatch):
         config_path = write_config(tmp_path, sweep=THREE_POINTS, workers=1)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
         proc = subprocess.Popen([sys.executable, "-c", HOLD_AFTER_POINT_0, "--config",
                                  str(config_path)], stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path)
+                                stderr=subprocess.PIPE, text=True, env=cli_env(), cwd=tmp_path)
         points = tmp_path / "out" / "points"
         deadline = time.monotonic() + 60
         while not (points / "point_0000.json").exists() and time.monotonic() < deadline:
@@ -491,6 +510,32 @@ class TestInterrupt:
         assert computed.read_text() == "1\n2\n"
         assert {row["run_id"][-4:] for row in read_rows(tmp_path / "out")} == {
             "0000", "0001", "0002"}
+
+    @pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGTERM, signal.SIGINT],
+                             ids=lambda signum: signum.name)
+    def test_point_children_end_with_the_cli(self, tmp_path, signum):
+        # a heartbeat, not kill(pid, 0): an orphan may linger as a zombie that still answers
+        config_path = write_config(tmp_path, workers=2)
+        heartbeat = tmp_path / "heartbeat"
+        proc = subprocess.Popen([sys.executable, "-c", HEARTBEAT, "--config", str(config_path)],
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                                env=cli_env(), cwd=tmp_path)
+        try:
+            deadline = time.monotonic() + 60
+            while not heartbeat.exists() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            proc.send_signal(signum)
+            proc.wait(timeout=30)
+            time.sleep(1)
+            size = heartbeat.stat().st_size
+            time.sleep(0.5)
+            assert heartbeat.stat().st_size == size
+        finally:
+            proc.kill()
+            pids = set(heartbeat.read_text().split()) if heartbeat.exists() else set()
+            for pid in pids:  # children that outlived the CLI
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(int(pid), signal.SIGKILL)
 
 
 class TestDeadWorker:
@@ -580,6 +625,32 @@ def max_overlap(spans):
     return most
 
 
+# The CLI on two cores of a platform without fork, recording each point's processes and
+# BLAS thread limits.  A spawned point child imports this file again, so the patches reach it.
+NO_FORK = """
+import os, sys
+del os.fork
+os.sched_getaffinity = lambda pid: {0, 1}
+from heomspectra import cli
+
+execute_point = cli.execute_point
+
+def record(config, index, size, value, processes=1):
+    with open("calls", "a") as file:
+        file.write(f"point {index} in {processes}\\n")
+    return execute_point(config, index, size, value, processes=processes)
+
+def limit(threads):
+    with open("calls", "a") as file:
+        file.write(f"blas {threads}\\n")
+
+cli.execute_point, cli.limit_blas_threads = record, limit
+
+if __name__ == "__main__":
+    sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 class TestSectorProcesses:
     """A symmetric point's sector solves spread over processes (``execute_point(processes=)``)."""
 
@@ -587,14 +658,16 @@ class TestSectorProcesses:
     # process solves charge 1 and a child charge 0, which the analyses read first
     POINT = {**SSB_POINT, "k_max": 3, "analyses": ["steady_state", "gap", "sectors", "ssb"]}
 
-    def _rows(self, tmp_path, processes):
-        config = parse_config(write_config(tmp_path, **self.POINT))
+    def _rows(self, tmp_path, processes, **overrides):
+        config = parse_config(write_config(tmp_path, **{**self.POINT, **overrides}))
         return execute_point(config, 0, 8, -2.9, processes=processes)[1]
 
-    def test_two_processes_give_the_rows_of_one(self, tmp_path):
-        rows = self._rows(tmp_path, 2)
-        assert {row["analysis"] for row in rows} == {"steady_state", "gap", "sectors", "ssb"}
-        assert rows == self._rows(tmp_path, 1)
+    # ssb alone solves charge 1 ahead; the steady state takes charge 0 from the null iteration
+    @pytest.mark.parametrize("analyses", [POINT["analyses"], ["steady_state", "ssb"]])
+    def test_two_processes_give_the_rows_of_one(self, tmp_path, analyses):
+        rows = self._rows(tmp_path, 2, analyses=analyses)
+        assert {row["analysis"] for row in rows} == set(analyses)
+        assert rows == self._rows(tmp_path, 1, analyses=analyses)
         assert multiprocessing.active_children() == []
 
     def test_two_processes_factorize_each_sector_once(self, tmp_path, monkeypatch):
@@ -641,6 +714,14 @@ class TestSectorProcesses:
             in caplog.text
         assert sorted(solved) == [404, 406]  # charge 0 solved again here, once
         assert multiprocessing.active_children() == []
+
+    def test_spawned_points_solve_in_one_process(self, tmp_path):
+        script = tmp_path / "no_fork.py"
+        script.write_text(NO_FORK)
+        proc = run_cli(tmp_path, write_config(tmp_path, workers=1), entry=(str(script),))
+        assert proc.returncode == 0, proc.stderr
+        # one process per point, so no point lowers its BLAS threads
+        assert (tmp_path / "calls").read_text() == "point 0 in 1\npoint 1 in 1\n"
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_solving_processes_stay_within_the_usable_cores(self, tmp_path, monkeypatch,
