@@ -54,19 +54,28 @@ KRYLOV_CYCLE_LIMIT = 100
 #: z2_lmg and two_mode_dicke sectors with m = 36 and 48 (2 cores), all on
 #: SuperLU's LU, whose entries are those of its factors.  A level-set LU
 #: counts its dense diagonal factors and sparse couplings, and a solve reads
-#: the factors twice.  It serves dimensions from :data:`LEVEL_LU_MIN_DIM`,
-#: whose LUs hold millions of entries (4.17M for the lmg N=20 sector),
-#: against 5 * 48**3 = 0.55M, so there the test follows every application.
+#: the factors twice.  It serves real forms, whose LUs hold 0.60M entries at
+#: dimension 2176 (z2_lmg N=10) and 4.17M for the lmg N=20 sector, against
+#: 5 * 36**3 = 0.23M and 5 * 48**3 = 0.55M, so there the test follows
+#: nearly every application.
 _STOP_TEST_WORK = 5
-#: Dimension from which :func:`_refined_inverse` factorizes with the
-#: level-set block LU (:class:`_LevelSetLU`) instead of SuperLU.  The
-#: crossover, measured with one BLAS thread by count-6 eigensolves at 0
-#: (SuperLU against level sets): lmg parity sector 0 gains from about 3000
-#: (3040: 0.18 against 0.16 s; 5200: 0.49-0.58 against 0.30-0.41 s), while
-#: the complex U(1) charges of two_mode_dicke (0.6 g_c) lose below about
-#: 4500 (N=14, every charge at most 4042, summed: 3.4-3.8 against 5.0-5.5
-#: s) and gain above it (N=18, charges 1-3 of 5060-5332: 1.69-1.76 against
-#: 1.21-1.31 s).
+#: Dimension from which :func:`_refined_inverse` factorizes complex matrices
+#: with the level-set block LU (:class:`_LevelSetLU`) instead of SuperLU;
+#: real forms (:func:`_real_form`) take the level-set LU at every dimension,
+#: and a sparse solve below this dimension runs on one BLAS thread
+#: (:class:`_SmallSolveThreads`).  Measured on one BLAS thread, with count-6
+#: eigensolves at 0 unless said otherwise (SuperLU against level sets): the
+#: LU and 7 refined two-column solves, as in a null iteration, on the real
+#: forms of the lmg N=10 truncation scans take 35.6 against 23.2 ms at
+#: dimension 1513, 88.5 against 44.5 ms at 2178 and 167 against 75 ms at
+#: 2965, but 54.1 against 64.6 ms summed over the eight below 1000, where
+#: the level-set LU's Python steps per block dominate; a whole scan round
+#: gains (:func:`eig_targeted`).  lmg parity sector 0 at 5200 takes
+#: 0.49-0.58 against 0.30-0.41 s.  The complex U(1) charges of
+#: two_mode_dicke (0.6 g_c) lose below about 4500: one solve of N=10, q=1
+#: (2692) costs 0.77 against 1.87 ms, and N=14, every charge at most 4042,
+#: takes 3.4-3.8 against 5.0-5.5 s summed; they gain above it (N=18,
+#: charges 1-3 of 5060-5332: 1.69-1.76 against 1.21-1.31 s).
 LEVEL_LU_MIN_DIM = 5000
 #: Fewest nodes in a block of the level-set LU, bar the last: fewer, smaller
 #: blocks would spend more time in Python per solve than in LAPACK.
@@ -198,6 +207,46 @@ def _nearest_order(values: np.ndarray, shift: complex) -> np.ndarray:
                        np.round(np.abs(values - shift), 10)))
 
 
+def _components(pattern: sp.csr_matrix) -> Tuple[int, np.ndarray]:
+    """The number of connected components of a symmetric sparsity pattern and each node's label.
+
+    Components are labelled in the order of their lowest node.  Each round
+    hooks the root of every node to the lowest root among its neighbours'
+    and then jumps every node to its root; a root is always the lowest node
+    of its tree, so the rounds end with one tree per component, rooted at
+    its lowest node.  Each step is a whole-array operation, a few rounds
+    in all.
+    """
+    rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+    root = np.arange(pattern.shape[0])
+    while True:
+        hooked = root.copy()
+        np.minimum.at(hooked, root[rows], root[pattern.indices])
+        while not np.array_equal(jumped := hooked[hooked], hooked):
+            hooked = jumped
+        if np.array_equal(hooked, root):
+            break
+        root = hooked
+    roots, labels = np.unique(root, return_inverse=True)
+    return roots.size, labels
+
+
+def _distances(pattern: sp.csr_matrix, starts: np.ndarray) -> np.ndarray:
+    """Breadth-first distances to the nearest of ``starts``, one whole-array step per level."""
+    degree = np.diff(pattern.indptr)
+    distance = np.full(pattern.shape[0], -1)
+    distance[starts] = 0
+    frontier, level = starts, 0
+    while frontier.size:
+        level += 1
+        first, count = pattern.indptr[frontier], degree[frontier]
+        reach = pattern.indices[np.repeat(first - np.cumsum(count) + count, count)
+                                + np.arange(count.sum())]
+        distance[reach[distance[reach] < 0]] = level
+        frontier = np.flatnonzero(distance == level)
+    return distance
+
+
 def _level_sets(pattern: sp.csr_matrix) -> Tuple[np.ndarray, np.ndarray]:
     """Breadth-first level sets of a symmetric sparsity pattern: a node order and the level starts.
 
@@ -206,22 +255,21 @@ def _level_sets(pattern: sp.csr_matrix) -> Tuple[np.ndarray, np.ndarray]:
     node of least degree, and while a node of least degree in the last
     level has the larger eccentricity, begin again from it.  Every
     component takes these steps at once, so each step is one multi-source
-    breadth-first search in compiled code.  Ties go to the lower index.
+    breadth-first search (:func:`_distances`).  Ties go to the lower index.
     In the order returned, the nodes of each level are contiguous and
     ascending, and an edge joins nodes of one level or of adjacent levels
-    of one component.
+    of one component.  Plain numpy keeps ``scipy.sparse.csgraph`` unloaded:
+    loading it raised the peak memory of a ``cli_sweep`` point process
+    (z2_lmg N=10) by about 1.8 MB.
     """
-    from scipy.sparse import csgraph  # loaded only by this path
-
     n = pattern.shape[0]
-    components, labels = csgraph.connected_components(pattern, directed=False)
+    components, labels = _components(pattern)
     degree, index = np.diff(pattern.indptr), np.arange(n)
 
     def search(ranking):  # distances from the first node of each component in ``ranking``
         starts = ranking[np.flatnonzero(np.r_[True, np.diff(labels[ranking]) != 0])]
-        distance = csgraph.dijkstra(pattern, directed=False, indices=starts, unweighted=True,
-                                    min_only=True)
-        eccentricity = np.zeros(components)
+        distance = _distances(pattern, starts)
+        eccentricity = np.zeros(components, dtype=distance.dtype)
         np.maximum.at(eccentricity, labels, distance)
         return distance, eccentricity
 
@@ -234,7 +282,7 @@ def _level_sets(pattern: sp.csr_matrix) -> Tuple[np.ndarray, np.ndarray]:
         distance = np.where(longer[labels], farther, distance)
         eccentricity = np.where(longer, further, eccentricity)
     order = np.lexsort((index, distance, labels))
-    level = labels[order] * (n + 1) + distance[order].astype(np.int64)
+    level = labels[order] * (n + 1) + distance[order]
     return order, np.flatnonzero(np.r_[True, np.diff(level) != 0])
 
 
@@ -311,22 +359,28 @@ def _refined_inverse(a: sp.spmatrix, sigma: complex) -> Tuple[spla.LinearOperato
     """The operator ``(a - sigma I)^-1`` from one sparse LU, and the number of entries it stores.
 
     The LU and the operator have the dtype of ``a - sigma I``, so a real
-    matrix at a real ``sigma`` is factorized in real arithmetic.  Below
-    :data:`LEVEL_LU_MIN_DIM` the LU is SuperLU's, ordered by minimum degree
-    on ``A^T + A`` with diagonal pivots (symmetric mode), which roughly
-    halves the fill of SciPy's default column ordering on HEOM generators,
-    whose sparsity pattern is nearly symmetric.  From that dimension on it
-    is the block-tridiagonal LU of :class:`_LevelSetLU`, which factorizes
-    dense blocks with LAPACK where SuperLU works at BLAS-2 speed: on lmg
-    N=20, k_max=7 parity sector 0 (dimension 7936, real form) 0.24 s and
-    4.17M entries against 0.82 s and 5.53M.  Both factorizations lose
+    matrix at a real ``sigma`` is factorized in real arithmetic.  A real
+    matrix, and a complex one from :data:`LEVEL_LU_MIN_DIM` on, takes the
+    block-tridiagonal LU of :class:`_LevelSetLU`, which factorizes dense
+    blocks with LAPACK where SuperLU works at BLAS-2 speed: on lmg N=20,
+    k_max=7 parity sector 0 (dimension 7936, real form) 0.24 s and 4.17M
+    entries against 0.82 s and 5.53M, and on the real forms of the lmg N=10
+    truncation scans, on one BLAS thread, 1.5 to 2.2 times faster from
+    dimension 1500 and 1.2 times slower summed below 1000 (the figures are
+    at :data:`LEVEL_LU_MIN_DIM`).  A complex
+    matrix below that dimension takes SuperLU's LU, ordered by minimum
+    degree on ``A^T + A`` with diagonal pivots (symmetric mode), which
+    roughly halves the fill of SciPy's default column ordering on HEOM
+    generators, whose sparsity pattern is nearly symmetric: there a
+    level-set solve of a two_mode_dicke charge costs 2 to 2.5 times
+    SuperLU's.  Both factorizations lose
     accuracy to a pivot order fixed in advance, so each solve takes one step
     of iterative refinement against the shifted matrix.  The number of
     entries the LU stores measures the work of one solve.  A zero pivot
     raises :class:`RuntimeError`.
     """
     shifted = (a - sigma * sp.identity(a.shape[0], dtype=a.dtype, format="csr")).tocsc()
-    if shifted.shape[0] >= LEVEL_LU_MIN_DIM:
+    if shifted.shape[0] >= LEVEL_LU_MIN_DIM or not np.iscomplexobj(shifted):
         lu = _LevelSetLU(shifted)
     else:
         lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -367,15 +421,12 @@ def _real_form(m: sp.csr_matrix, involution: np.ndarray,
     ``p`` of ``P`` and, for each pair ``p < Pp``, ``(e_p + e_Pp) / sqrt 2``
     and ``i (e_p - e_Pp) / sqrt 2``.  The columns follow the basis order of
     each fixed point and of each pair's first member, with a pair's two
-    columns side by side.  That interleaving keeps SuperLU's LU of ``B``
-    near the fill of ``m``'s: measured on lmg N=20, k_max=7 parity sector 0,
-    factorized by SuperLU at every size, it is 5.53M real against 5.06M
-    complex, and 6.17M when each pair's columns sit at ``p`` and ``Pp``
-    instead.  That sector (dimension 7936) is above :data:`LEVEL_LU_MIN_DIM`
-    and so takes the level-set LU, which orders the basis itself: its LU of ``B``
-    holds 4.17M entries against 2.69M of ``m``, since a pair joins the
-    levels of ``p`` and ``Pp``, yet real arithmetic keeps it the faster
-    one (a count-6 solve at 0 took 0.64-0.87 s against 0.74-1.02 s).
+    columns side by side.  ``B`` is factorized by the level-set LU at every
+    dimension, which orders the basis itself: on lmg N=20, k_max=7 parity
+    sector 0 its LU of ``B`` holds 4.17M entries against 2.69M of ``m``,
+    since a pair joins the levels of ``p`` and ``Pp``, yet real arithmetic
+    keeps it the faster one (a count-6 solve at 0 took 0.64-0.87 s against
+    0.74-1.02 s).
     ``B`` is real exactly when ``m`` commutes with
     ``J``: an imaginary part above ``OFF_SECTOR_TOL * scale`` raises
     :class:`SymmetryViolationError`, and a ``P`` that is not an involution of
@@ -451,8 +502,15 @@ def eig_targeted(
     is asked for) the full dense spectrum is computed and filtered.  Above it
     one shift-invert Krylov-Schur iteration (:func:`_krylov_schur`) runs on
     the refined LU of :func:`_refined_inverse` at a slightly displaced
-    shift: SuperLU's minimum-degree LU below :data:`LEVEL_LU_MIN_DIM`, the
-    level-set block LU from it on.  It stops at the first test at which the ``count``
+    shift: the level-set block LU for a real form and from
+    :data:`LEVEL_LU_MIN_DIM` on, SuperLU's minimum-degree LU for a complex
+    matrix below it.  Below :data:`LEVEL_LU_MIN_DIM` the factorization and
+    the iteration run on one BLAS thread (:class:`_SmallSolveThreads`).
+    Either change alone gains little and both together a lot: a round of
+    the lmg N=10 truncation scans (median of 12, alternating, 2 cores) took
+    0.562 s with SuperLU's LU of the real forms on two threads, 0.543 s with
+    the level-set LU alone, 0.560 s with one thread alone and 0.333 s with
+    both.  It stops at the first test at which the ``count``
     Ritz pairs nearest ``shift`` all have a residual on ``a`` within
     ``min(tol, 1e-10) * 1e-2``, read from the Arnoldi relation; the test
     follows every application of the inverse whose LU costs more than the
@@ -499,28 +557,29 @@ def eig_targeted(
             vector_condition=float(np.linalg.cond(vectors)) if count > 1 else 1.0,
         )
 
-    form, to_original, form_shift = _working_form(m, shift, involution, scale)
-    ask = min(count + 4, n - 2)
-    # A shift sitting exactly on an eigenvalue (the usual case when targeting
-    # the stationary state at 0) poisons the factorization and yields spurious
-    # Ritz pairs, so the factorization uses a slightly displaced shift; the
-    # eigenvalues nearest the *requested* shift are then selected from the
-    # Ritz set, so the displacement does not change the result.
-    sigma = form_shift - 1e-3 * scale
-    opinv, fill = _shift_inverse(form, shift, sigma, scale)
-    values, coefficients, vectors = _krylov_schur(
-        form, opinv, fill, sigma, shift, count, ask, ncv=min(n, max(2 * ask + 12, 36)),
-        start=_start_block(seed, n, form.dtype), target=min(tol, 1e-10) * 1e-2)
-    if to_original is not None:
-        vectors = to_original @ vectors
-    vectors = _normalize_columns(vectors)
-    residuals = _residuals(m, values, vectors)
-    if not np.all(residuals <= tol):
-        raise EigenConvergenceError(
-            f"targeted eigensolve at sigma={sigma} failed to reach tol {tol:.1e}: "
-            f"residuals up to {residuals.max():.3e}",
-            ritz_values=values,
-        )
+    with _SmallSolveThreads(n):
+        form, to_original, form_shift = _working_form(m, shift, involution, scale)
+        ask = min(count + 4, n - 2)
+        # A shift sitting exactly on an eigenvalue (the usual case when targeting
+        # the stationary state at 0) poisons the factorization and yields spurious
+        # Ritz pairs, so the factorization uses a slightly displaced shift; the
+        # eigenvalues nearest the *requested* shift are then selected from the
+        # Ritz set, so the displacement does not change the result.
+        sigma = form_shift - 1e-3 * scale
+        opinv, fill = _shift_inverse(form, shift, sigma, scale)
+        values, coefficients, vectors = _krylov_schur(
+            form, opinv, fill, sigma, shift, count, ask, ncv=min(n, max(2 * ask + 12, 36)),
+            start=_start_block(seed, n, form.dtype), target=min(tol, 1e-10) * 1e-2)
+        if to_original is not None:
+            vectors = to_original @ vectors
+        vectors = _normalize_columns(vectors)
+        residuals = _residuals(m, values, vectors)
+        if not np.all(residuals <= tol):
+            raise EigenConvergenceError(
+                f"targeted eigensolve at sigma={sigma} failed to reach tol {tol:.1e}: "
+                f"residuals up to {residuals.max():.3e}",
+                ritz_values=values,
+            )
     # The basis is orthonormal and the map to ``m``'s basis unitary, so the
     # vectors have the singular values of their coefficients.
     return EigResult(
@@ -649,40 +708,42 @@ def _inverse_iteration(a: MatrixLike, shift: complex, tol: float, seed: int,
     degenerate.  With an ``involution`` and a real ``shift`` the LU, the
     block and the iteration are those of the real form, as in
     :func:`eig_targeted`, and the returned vectors and residuals are those
-    of ``a``.
+    of ``a``.  Below :data:`LEVEL_LU_MIN_DIM` it runs on one BLAS thread,
+    as :func:`eig_targeted` does.
     """
     m, scale = _square_sparse(a, tol)
     n = m.shape[0]
-    form, to_original, form_shift = _working_form(m, shift, involution, scale)
-    sigma = form_shift - 1e-6 * scale
-    opinv, _ = _shift_inverse(form, shift, sigma, scale)
-    basis = _start_block(seed, (n, 2), form.dtype)
-    target, previous = min(tol, 1e-10) * 1e-2, np.inf
-    for _ in range(NULL_ITERATION_LIMIT):
-        solved = opinv.matmat(basis)
-        if previous <= tol:
-            # Near convergence, one more refinement step than the operator
-            # takes: without it the LU's round-off held the residual near
-            # 5e-12 on the lmg N=20, k_max=7 parity sector 0.
-            solved += opinv.matmat(basis - (form @ solved - sigma * solved))
-        basis, _ = np.linalg.qr(solved)
-        image = form @ basis
-        values, coefficients = np.linalg.eig(basis.conj().T @ image)
-        order = _nearest_order(values, 0.0)
-        values, coefficients = values[order], coefficients[:, order]
-        vectors = basis @ coefficients
-        residuals = np.linalg.norm(image @ coefficients - vectors * values, axis=0)
-        if residuals[0] <= target or previous <= residuals[0] <= tol:
-            if to_original is not None:
-                vectors = to_original @ vectors
-                residuals = _residuals(m, values, vectors)
-            return EigResult(values, vectors, residuals, float(np.linalg.cond(vectors)))
-        previous = residuals[0]
-    raise EigenConvergenceError(
-        f"inverse iteration at sigma={sigma} did not reach a residual of {target:.1e} "
-        f"in {NULL_ITERATION_LIMIT} solves: {residuals[0]:.3e}",
-        ritz_values=values,
-    )
+    with _SmallSolveThreads(n):
+        form, to_original, form_shift = _working_form(m, shift, involution, scale)
+        sigma = form_shift - 1e-6 * scale
+        opinv, _ = _shift_inverse(form, shift, sigma, scale)
+        basis = _start_block(seed, (n, 2), form.dtype)
+        target, previous = min(tol, 1e-10) * 1e-2, np.inf
+        for _ in range(NULL_ITERATION_LIMIT):
+            solved = opinv.matmat(basis)
+            if previous <= tol:
+                # Near convergence, one more refinement step than the operator
+                # takes: without it the LU's round-off held the residual near
+                # 5e-12 on the lmg N=20, k_max=7 parity sector 0.
+                solved += opinv.matmat(basis - (form @ solved - sigma * solved))
+            basis, _ = np.linalg.qr(solved)
+            image = form @ basis
+            values, coefficients = np.linalg.eig(basis.conj().T @ image)
+            order = _nearest_order(values, 0.0)
+            values, coefficients = values[order], coefficients[:, order]
+            vectors = basis @ coefficients
+            residuals = np.linalg.norm(image @ coefficients - vectors * values, axis=0)
+            if residuals[0] <= target or previous <= residuals[0] <= tol:
+                if to_original is not None:
+                    vectors = to_original @ vectors
+                    residuals = _residuals(m, values, vectors)
+                return EigResult(values, vectors, residuals, float(np.linalg.cond(vectors)))
+            previous = residuals[0]
+        raise EigenConvergenceError(
+            f"inverse iteration at sigma={sigma} did not reach a residual of {target:.1e} "
+            f"in {NULL_ITERATION_LIMIT} solves: {residuals[0]:.3e}",
+            ritz_values=values,
+        )
 
 
 @dataclass
@@ -773,38 +834,87 @@ def _openblas_libraries() -> list:
                       "libscipy_openblas*"))
 
 
+#: The lookup of :func:`_blas_controls`, made once per process.
+_BLAS_CONTROLS: Optional[Tuple[list, str]] = None
+
+
+def _blas_controls() -> list:
+    """The thread-count getter and setter of each bundled OpenBLAS, looked up once per process.
+
+    SciPy's build (``scipy.linalg``, and so the Krylov-Schur iteration and
+    the level-set LU) exports ``scipy_openblas_get_num_threads`` and
+    ``scipy_openblas_set_num_threads``, numpy's 64-bit build the same names
+    with the suffix ``64_``; both are called through ``ctypes``.  Where no
+    library or no such pair is found, for instance with a system BLAS, each
+    call logs one debug line naming what is missing.
+    """
+    global _BLAS_CONTROLS
+    if _BLAS_CONTROLS is None:
+        import ctypes
+
+        controls, missing = [], []
+        paths = _openblas_libraries()
+        for path in paths:
+            library = ctypes.CDLL(path)
+            for suffix in ("", "64_"):
+                get = getattr(library, f"scipy_openblas_get_num_threads{suffix}", None)
+                put = getattr(library, f"scipy_openblas_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    controls.append((get, put))
+                    break
+            else:
+                missing.append(path)
+        _BLAS_CONTROLS = controls, ", ".join(missing) or ("" if paths else "this process")
+    controls, missing = _BLAS_CONTROLS
+    if missing:
+        log.debug("BLAS threads unchanged in %s: no bundled OpenBLAS thread control", missing)
+    return controls
+
+
 def limit_blas_threads(count: int) -> None:
     """Lower the thread count of SciPy's and numpy's bundled OpenBLAS to at most ``count``.
 
     A library whose count is already at most ``count`` keeps it, so the
-    count is never raised.  SciPy's build (``scipy.linalg``, and so the
-    Krylov-Schur iteration) exports ``scipy_openblas_set_num_threads`` and
-    numpy's 64-bit build ``scipy_openblas_set_num_threads64_``; both are
-    called through ``ctypes``.  Where no library or no such symbol is found,
-    for instance with a system BLAS, nothing changes and one debug line is
-    logged.
+    count is never raised.  Libraries are found by :func:`_blas_controls`;
+    without them nothing changes and one debug line is logged.
     """
-    import ctypes
-
-    missing = []
-    paths = _openblas_libraries()
-    for path in paths:
-        library = ctypes.CDLL(path)
-        for suffix in ("", "64_"):
-            get = getattr(library, f"scipy_openblas_get_num_threads{suffix}", None)
-            put = getattr(library, f"scipy_openblas_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                break
-        else:
-            missing.append(path)
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
+    for get, put in _blas_controls():
         if get() > count:
             put(count)
-    if missing or not paths:
-        log.debug("BLAS threads unchanged in %s: no bundled OpenBLAS thread control",
-                  ", ".join(missing) or "this process")
+
+
+class _SmallSolveThreads:
+    """Runs a sparse solve of dimension below :data:`LEVEL_LU_MIN_DIM` on one BLAS thread.
+
+    On entry each bundled OpenBLAS (:func:`_blas_controls`) with more than
+    one thread is lowered to one, and on exit it gets its count back.  A
+    library already at one thread, as in a CLI point child, is left alone:
+    after its count is raised, OpenBLAS's next threaded call costs about 8
+    ms (``getrs`` with 2 right-hand sides at block width 100: 7988 us just
+    after a raise, 16 us later), and a setter call at an unchanged count
+    added about 10 ms to a 43 ms factorization.  Larger solves keep the
+    process's count: on one thread the count-6 solve of lmg N=20, k_max 7
+    parity sector 0 (dimension 7936) took 8% longer (``sector_spectrum``
+    ``run_s`` 1.381 against 1.276 s).
+    """
+
+    def __init__(self, dimension: int):
+        self.dimension = dimension
+        self.restore = []
+
+    def __enter__(self) -> None:
+        if self.dimension < LEVEL_LU_MIN_DIM:
+            for get, put in _blas_controls():
+                count = get()
+                if count > 1:
+                    put(1)
+                    self.restore.append((put, count))
+
+    def __exit__(self, *exc) -> None:
+        for put, count in reversed(self.restore):
+            put(count)
 
 
 def herm_sqrt(a: MatrixLike) -> np.ndarray:

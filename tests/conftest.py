@@ -86,6 +86,22 @@ def refined_calls(monkeypatch):
 
 
 @pytest.fixture
+def levels(monkeypatch):
+    """Record ``(dimension, dtype kind)`` of every ``linalg._LevelSetLU`` factorization."""
+    from heomspectra import linalg
+
+    built = []
+    original = linalg._LevelSetLU
+
+    def spy(a):
+        built.append((a.shape[0], a.dtype.kind))
+        return original(a)
+
+    monkeypatch.setattr(linalg, "_LevelSetLU", spy)
+    return built
+
+
+@pytest.fixture
 def factorized(monkeypatch):
     """Record ``(dimension, dtype kind)`` of every ``linalg._refined_inverse`` factorization."""
     from heomspectra import linalg

@@ -198,29 +198,21 @@ class TestEigTargeted:
 class TestShiftInvert:
     """One refined LU per solve, SuperLU's or the level-set LU; a miss raises at once.
 
-    At these dimensions the LU is SuperLU's; :class:`TestShiftInvertLevelSets`
-    runs the same tests on the level-set LU of :class:`linalg._LevelSetLU`.
-    The ``levels`` fixture records the dimension of each level-set LU.
+    These complex matrices are below ``LEVEL_LU_MIN_DIM``, so the LU is
+    SuperLU's; :class:`TestShiftInvertLevelSets` runs the same tests on the
+    level-set LU of :class:`linalg._LevelSetLU`.  The ``levels`` fixture
+    records each level-set LU.
     """
 
     N = 800  # above the dense fallback
     LEVEL_SETS = False
 
     @pytest.fixture(autouse=True)
-    def levels(self, monkeypatch):
-        built = []
+    def route(self, monkeypatch):
         if self.LEVEL_SETS:
-            original = linalg._LevelSetLU
-
-            def spy(a):
-                built.append(a.shape[0])
-                return original(a)
-
             monkeypatch.setattr(linalg, "LEVEL_LU_MIN_DIM", 0)
-            monkeypatch.setattr(linalg, "_LevelSetLU", spy)
         else:
             assert self.N < linalg.LEVEL_LU_MIN_DIM
-        return built
 
     def _check_path(self, levels, factorizations):
         assert len(levels) == (factorizations if self.LEVEL_SETS else 0)
@@ -314,8 +306,53 @@ def _components(dtype):
     return sp.block_diag(blocks).tocsr()[scatter][:, scatter].astype(dtype)
 
 
+def _graph_level_sets(pattern):
+    """:func:`linalg._level_sets` on ``scipy.sparse.csgraph``, the reference for its numpy steps."""
+    from scipy.sparse import csgraph
+
+    n = pattern.shape[0]
+    components, labels = csgraph.connected_components(pattern, directed=False)
+    degree, index = np.diff(pattern.indptr), np.arange(n)
+
+    def search(ranking):
+        starts = ranking[np.flatnonzero(np.r_[True, np.diff(labels[ranking]) != 0])]
+        distance = csgraph.dijkstra(pattern, directed=False, indices=starts, unweighted=True,
+                                    min_only=True)
+        eccentricity = np.zeros(components)
+        np.maximum.at(eccentricity, labels, distance)
+        return distance, eccentricity
+
+    distance, eccentricity = search(np.lexsort((index, degree, labels)))
+    while True:
+        farther, further = search(np.lexsort((index, degree, -distance, labels)))
+        longer = further > eccentricity
+        if not longer.any():
+            break
+        distance = np.where(longer[labels], farther, distance)
+        eccentricity = np.where(longer, further, eccentricity)
+    order = np.lexsort((index, distance, labels))
+    level = labels[order] * (n + 1) + distance[order].astype(np.int64)
+    return order, np.flatnonzero(np.r_[True, np.diff(level) != 0])
+
+
 class TestLevelSetLU:
     """The block-tridiagonal LU of :class:`linalg._LevelSetLU` and its path in eigensolves."""
+
+    def test_level_sets_match_the_graph_library(self):
+        decomp = decompose(assemble(z2_lmg(6, -1.45, 0.5, 1.0, 1.0, 0.5), 5))
+        matrices = [_components(float), sp.diags(np.arange(1.0, 301.0)), decomp.sector(0),
+                    decomp.sector(1)]
+        state = np.random.RandomState(31)
+        matrices += [sp.random(n, n, density=density, random_state=state)
+                     for n, density in ((400, 0.002), (400, 0.005), (900, 0.003))]
+        for a in matrices:
+            a = sp.csr_matrix(a)
+            pattern = sp.csr_matrix((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
+            pattern = pattern + pattern.T
+            order, starts = linalg._level_sets(pattern)
+            expected_order, expected_starts = _graph_level_sets(pattern)
+            assert np.array_equal(order, expected_order)
+            assert np.array_equal(starts, expected_starts)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_components_and_isolated_nodes(self, dtype, monkeypatch, refined_calls):
@@ -342,15 +379,31 @@ class TestLevelSetLU:
         assert res.residual_norms.max() <= 1e-10
         assert refined_calls == [pytest.approx(-1.0 - 1e-3 * np.abs(a.data).max())]
 
-    def test_lmg_sector_matches_superlu(self, monkeypatch):
-        # lmg N=16, k_max=7 parity sector 0, of dimension 5200: the level-set LU by default
+    def test_lmg_sector_matches_superlu(self, monkeypatch, levels, factorized):
+        # lmg N=16, k_max=7 parity sector 0, of dimension 5200: its real form
+        # takes the level-set LU, and the complex sector takes SuperLU once
+        # LEVEL_LU_MIN_DIM is above its dimension
         decomp = decompose(assemble(lmg(16, 0.35, 1.0, 1.0, 1.0), 7))
         solvable = decomp.solvables[0]
-        assert solvable.matrix.shape[0] >= linalg.LEVEL_LU_MIN_DIM
-        levels = eig_targeted(solvable.matrix, 0.0, 6, involution=solvable.involution)
-        monkeypatch.setattr(linalg, "LEVEL_LU_MIN_DIM", solvable.matrix.shape[0] + 1)
-        superlu = eig_targeted(solvable.matrix, 0.0, 6, involution=solvable.involution)
-        assert np.abs(levels.eigenvalues - superlu.eigenvalues).max() <= 1e-10
+        n = solvable.matrix.shape[0]
+        assert n >= linalg.LEVEL_LU_MIN_DIM
+        by_levels = eig_targeted(solvable.matrix, 0.0, 6, involution=solvable.involution)
+        monkeypatch.setattr(linalg, "LEVEL_LU_MIN_DIM", n + 1)
+        superlu = eig_targeted(solvable.matrix, 0.0, 6)
+        assert factorized == [(n, "f"), (n, "c")] and levels == [(n, "f")]
+        assert np.abs(by_levels.eigenvalues - superlu.eigenvalues).max() <= 1e-10
+
+    def test_real_forms_below_the_threshold_take_the_level_sets(self, levels, factorized):
+        # z2_lmg N=10, k_max=7 parity sector 0, of dimension 2176
+        decomp = decompose(assemble(z2_lmg(10, -2.9 * 0.5, 0.5, 1.0, 1.0, 0.5), 7))
+        solvable = decomp.solvables[0]
+        n = solvable.matrix.shape[0]
+        assert n == 2176 < linalg.LEVEL_LU_MIN_DIM
+        real = eig_targeted(solvable.matrix, 0.0, 6, involution=solvable.involution)
+        assert levels == [(n, "f")]
+        superlu = eig_targeted(solvable.matrix, 0.0, 6)  # the complex matrix of the same size
+        assert factorized == [(n, "f"), (n, "c")] and levels == [(n, "f")]
+        assert np.abs(real.eigenvalues - superlu.eigenvalues).max() <= 1e-10
 
     def test_diagonal_pattern_at_the_threshold_is_fast(self):
         # every node is a component of its own; nothing runs once per node in Python
@@ -623,15 +676,80 @@ print(json.dumps(steps))
 """
 
 
+# Makes one solve of a 300-state rate matrix, ``eigs`` or ``null`` (argv[2]),
+# and prints as JSON the thread count of each bundled OpenBLAS before, during
+# (at the factorization) and after it, the counts its setters were called
+# with, the debug lines logged and the solve's smallest residual.  argv[1]
+# sets the scene: "small" as is, "large" with LEVEL_LU_MIN_DIM at the
+# dimension, "one" at one thread already, "none" with no library found.
+THREAD_SOLVE = """
+import json, logging, sys
+import numpy as np, scipy.sparse as sp
+from heomspectra import linalg
+
+scene, solve = sys.argv[1:]
+state = np.random.RandomState(5)
+rates = sp.random(300, 300, density=0.02, random_state=state).tolil()
+rates.setdiag(0.0)
+rates = rates + sp.diags([np.ones(299), np.ones(299)], [1, -1])
+matrix = (rates - sp.diags(np.asarray(rates.sum(axis=0)).ravel())).tocsr().astype(complex)
+
+controls = linalg._blas_controls()
+counts = lambda: [get() for get, _ in controls]
+puts, during = [], []
+
+def recorded(put):
+    def call(count):
+        puts.append(count)
+        put(count)
+    return call
+
+linalg._BLAS_CONTROLS = [(get, recorded(put)) for get, put in controls], ""
+if scene == "large":
+    linalg.LEVEL_LU_MIN_DIM = matrix.shape[0]
+elif scene == "one":
+    linalg.limit_blas_threads(1)
+    puts.clear()
+elif scene == "none":
+    linalg._openblas_libraries = lambda: []
+    linalg._BLAS_CONTROLS = None
+refined = linalg._refined_inverse
+
+def spy(a, sigma):
+    during.append(counts())
+    return refined(a, sigma)
+
+linalg._refined_inverse = spy
+
+lines = []
+handler = logging.Handler(logging.DEBUG)
+handler.emit = lambda record: lines.append(record.getMessage())
+logger = logging.getLogger("heomspectra.linalg")
+logger.addHandler(handler)
+logger.setLevel(logging.DEBUG)
+before = counts()
+solvable = linalg.Solvable(matrix)
+result = solvable.eigs(0.0, 6) if solve == "eigs" else solvable.null(0.0, 6)
+print(json.dumps({"before": before, "during": during, "after": counts(), "puts": puts,
+                  "lines": lines, "residual": float(result.residual_norms.min())}))
+"""
+
+
+def _child(script: str, *args: str) -> str:
+    """The standard output of ``script`` run on ``args`` in a child process at two BLAS threads.
+
+    In a child, so this process keeps its thread count.
+    """
+    src = str(Path(linalg.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True,
+                          text=True, check=True, timeout=60).stdout
+
+
 class TestBlasThreads:
     def test_limit_lowers_and_never_raises(self):
-        # in a child process, so this one keeps its thread count
-        src = str(Path(linalg.__file__).resolve().parents[1])
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
-               "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        done = subprocess.run([sys.executable, "-c", THREAD_COUNTS, "3", "1", "2"], env=env,
-                              capture_output=True, text=True, check=True, timeout=60)
-        start, above, limited, again = json.loads(done.stdout)
+        start, above, limited, again = json.loads(_child(THREAD_COUNTS, "3", "1", "2"))
         if not start:
             pytest.skip("no bundled OpenBLAS in this environment")
         assert above == start  # a count above the current one changes nothing
@@ -640,7 +758,38 @@ class TestBlasThreads:
 
     def test_missing_library_logs_one_debug_line(self, monkeypatch, caplog):
         monkeypatch.setattr(linalg, "_openblas_libraries", lambda: [])
+        monkeypatch.setattr(linalg, "_BLAS_CONTROLS", None)  # the lookup is made once
         with caplog.at_level("DEBUG", logger="heomspectra.linalg"):
             linalg.limit_blas_threads(1)
         assert len(caplog.records) == 1
         assert caplog.records[0].levelname == "DEBUG"
+
+    @pytest.mark.parametrize("solve", ["eigs", "null"])
+    def test_small_solve_runs_on_one_thread(self, solve):
+        out = json.loads(_child(THREAD_SOLVE, "small", solve))
+        if not out["before"]:
+            pytest.skip("no bundled OpenBLAS in this environment")
+        libraries = len(out["before"])
+        assert out["before"] == out["after"] == [2] * libraries
+        assert out["during"] == [[1] * libraries]
+        assert out["puts"] == [1] * libraries + [2] * libraries
+        assert out["lines"] == [] and out["residual"] <= 1e-10
+
+    def test_solve_at_the_level_set_threshold_keeps_its_threads(self):
+        out = json.loads(_child(THREAD_SOLVE, "large", "eigs"))
+        if not out["before"]:
+            pytest.skip("no bundled OpenBLAS in this environment")
+        assert out["during"] == [out["before"]] == [out["after"]] == [[2] * len(out["before"])]
+        assert out["puts"] == [] and out["residual"] <= 1e-10
+
+    def test_no_setter_is_called_at_one_thread(self):
+        out = json.loads(_child(THREAD_SOLVE, "one", "eigs"))
+        if not out["before"]:
+            pytest.skip("no bundled OpenBLAS in this environment")
+        assert out["during"] == [out["before"]] == [out["after"]] == [[1] * len(out["before"])]
+        assert out["puts"] == [] and out["residual"] <= 1e-10
+
+    def test_solve_without_a_library_logs_one_debug_line(self):
+        out = json.loads(_child(THREAD_SOLVE, "none", "eigs"))
+        assert out["puts"] == [] and out["residual"] <= 1e-10
+        assert len(out["lines"]) == 1 and "no bundled OpenBLAS" in out["lines"][0]
