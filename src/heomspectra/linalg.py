@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     EigenConvergenceError,
@@ -355,44 +354,44 @@ class _LevelSetLU:
         return x
 
 
-def _refined_inverse(a: sp.spmatrix, sigma: complex) -> Tuple[spla.LinearOperator, int]:
-    """The operator ``(a - sigma I)^-1`` from one sparse LU, and the number of entries it stores.
+def _refined_inverse(a: sp.spmatrix, sigma: complex) -> Tuple[Callable, int]:
+    """The refined solve of ``(a - sigma I) x = b`` from one sparse LU, and the LU's entries.
 
-    The LU and the operator have the dtype of ``a - sigma I``, so a real
-    matrix at a real ``sigma`` is factorized in real arithmetic.  A real
+    The solve function takes a vector or the columns of a matrix, and the LU's
+    entries measure its work.  The LU has the dtype of ``a - sigma I``, so a
+    real matrix at a real ``sigma`` is factorized in real arithmetic.  A real
     matrix, and a complex one from :data:`LEVEL_LU_MIN_DIM` on, takes the
-    block-tridiagonal LU of :class:`_LevelSetLU`, which factorizes dense
-    blocks with LAPACK where SuperLU works at BLAS-2 speed: on lmg N=20,
-    k_max=7 parity sector 0 (dimension 7936, real form) 0.24 s and 4.17M
-    entries against 0.82 s and 5.53M, and on the real forms of the lmg N=10
-    truncation scans, on one BLAS thread, 1.5 to 2.2 times faster from
-    dimension 1500 and 1.2 times slower summed below 1000 (the figures are
-    at :data:`LEVEL_LU_MIN_DIM`).  A complex
-    matrix below that dimension takes SuperLU's LU, ordered by minimum
-    degree on ``A^T + A`` with diagonal pivots (symmetric mode), which
-    roughly halves the fill of SciPy's default column ordering on HEOM
-    generators, whose sparsity pattern is nearly symmetric: there a
-    level-set solve of a two_mode_dicke charge costs 2 to 2.5 times
-    SuperLU's.  Both factorizations lose
-    accuracy to a pivot order fixed in advance, so each solve takes one step
-    of iterative refinement against the shifted matrix.  The number of
-    entries the LU stores measures the work of one solve.  A zero pivot
-    raises :class:`RuntimeError`.
+    block-tridiagonal LU of :class:`_LevelSetLU`, which factorizes dense blocks
+    with LAPACK where SuperLU works at BLAS-2 speed: on lmg N=20, k_max=7 parity
+    sector 0 (dimension 7936, real form) 0.24 s and 4.17M entries against 0.82 s
+    and 5.53M, and on the real forms of the lmg N=10 truncation scans, on one
+    BLAS thread, 1.5 to 2.2 times faster from dimension 1500 and 1.2 times
+    slower summed below 1000 (the figures are at :data:`LEVEL_LU_MIN_DIM`).  A
+    complex matrix below that dimension takes SuperLU's LU (the one use of
+    ``scipy.sparse.linalg``), ordered by minimum degree on ``A^T + A`` with
+    diagonal pivots (symmetric mode), about half the fill of SciPy's default
+    column ordering on HEOM generators.  There a level-set solve, which reads
+    its dense factors twice, is slower (two columns of two_mode_dicke N=10,
+    charge 1: 3.64 against 1.43 ms, one thread), and storing ``S_k^-1 U_k`` to
+    read them once would nearly double the entries: each ``U_k`` reaches 98 to
+    100% of block k+1's columns.  Both LUs lose accuracy to a pivot order fixed
+    in advance, so each solve takes one step of iterative refinement against the
+    shifted matrix.  A zero pivot raises :class:`RuntimeError`.
     """
     shifted = (a - sigma * sp.identity(a.shape[0], dtype=a.dtype, format="csr")).tocsc()
     if shifted.shape[0] >= LEVEL_LU_MIN_DIM or not np.iscomplexobj(shifted):
         lu = _LevelSetLU(shifted)
     else:
-        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
+        from scipy.sparse.linalg import splu
+        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
 
     def solve(b: np.ndarray) -> np.ndarray:
         x = lu.solve(b)
         x += lu.solve(b - shifted @ x)
         return x
 
-    return (spla.LinearOperator(shifted.shape, matvec=solve, matmat=solve, dtype=shifted.dtype),
-            lu.nnz)
+    return solve, lu.nnz
 
 
 def _square_sparse(a: MatrixLike, tol: float) -> Tuple[sp.csr_matrix, float]:
@@ -480,7 +479,7 @@ def _start_block(seed: int, shape, dtype) -> np.ndarray:
 
 
 def _shift_inverse(m: sp.csr_matrix, shift: complex, sigma: complex,
-                   scale: float) -> Tuple[spla.LinearOperator, int]:
+                   scale: float) -> Tuple[Callable, int]:
     """:func:`_refined_inverse` at ``sigma``; a zero pivot raises :class:`SingularShiftError`."""
     try:
         return _refined_inverse(m, sigma)
@@ -501,20 +500,19 @@ def eig_targeted(
     Up to :data:`TARGETED_DENSE_FALLBACK` (or when nearly the whole spectrum
     is asked for) the full dense spectrum is computed and filtered.  Above it
     one shift-invert Krylov-Schur iteration (:func:`_krylov_schur`) runs on
-    the refined LU of :func:`_refined_inverse` at a slightly displaced
-    shift: the level-set block LU for a real form and from
-    :data:`LEVEL_LU_MIN_DIM` on, SuperLU's minimum-degree LU for a complex
-    matrix below it.  Below :data:`LEVEL_LU_MIN_DIM` the factorization and
-    the iteration run on one BLAS thread (:class:`_SmallSolveThreads`).
-    Either change alone gains little and both together a lot: a round of
-    the lmg N=10 truncation scans (median of 12, alternating, 2 cores) took
-    0.562 s with SuperLU's LU of the real forms on two threads, 0.543 s with
-    the level-set LU alone, 0.560 s with one thread alone and 0.333 s with
-    both.  It stops at the first test at which the ``count``
-    Ritz pairs nearest ``shift`` all have a residual on ``a`` within
-    ``min(tol, 1e-10) * 1e-2``, read from the Arnoldi relation; the test
-    follows every application of the inverse whose LU costs more than the
-    test, and is spaced out on smaller ones.  With ``ask = min(count + 4, n - 2)``, its basis holds at most
+    the refined solve of :func:`_refined_inverse`, which picks the LU, at a
+    slightly displaced shift.  Below :data:`LEVEL_LU_MIN_DIM` the
+    factorization and the iteration run on one BLAS thread
+    (:class:`_SmallSolveThreads`).  That and the level-set LU of the real
+    forms gain little alone and a lot together: a round of the lmg N=10
+    truncation scans (median of 12, alternating, 2 cores) took 0.562 s with
+    SuperLU's LU of the real forms on two threads, 0.543 s with the
+    level-set LU alone, 0.560 s with one thread alone and 0.333 s with both.
+    It stops at the first test at which the ``count`` Ritz pairs nearest
+    ``shift`` all have a residual on ``a`` within ``min(tol, 1e-10) *
+    1e-2``, read from the Arnoldi relation; the test follows every solve
+    whose LU costs more than the test, and is spaced out on smaller ones.
+    With ``ask = min(count + 4, n - 2)``, its basis holds at most
     ``ncv + 1`` vectors, ``ncv = min(n, max(2 * ask + 12, 36))``, and when
     it is full a thick restart keeps the Schur vectors of the ``ask`` Ritz
     values nearest ``shift``.  The residual norms of the Ritz vectors are
@@ -566,9 +564,9 @@ def eig_targeted(
         # eigenvalues nearest the *requested* shift are then selected from the
         # Ritz set, so the displacement does not change the result.
         sigma = form_shift - 1e-3 * scale
-        opinv, fill = _shift_inverse(form, shift, sigma, scale)
+        solve, fill = _shift_inverse(form, shift, sigma, scale)
         values, coefficients, vectors = _krylov_schur(
-            form, opinv, fill, sigma, shift, count, ask, ncv=min(n, max(2 * ask + 12, 36)),
+            form, solve, fill, sigma, shift, count, ask, ncv=min(n, max(2 * ask + 12, 36)),
             start=_start_block(seed, n, form.dtype), target=min(tol, 1e-10) * 1e-2)
         if to_original is not None:
             vectors = to_original @ vectors
@@ -612,19 +610,19 @@ def _schur_values(t: np.ndarray) -> np.ndarray:
     return values
 
 
-def _krylov_schur(form: sp.csr_matrix, opinv: spla.LinearOperator, fill: int, sigma: complex,
+def _krylov_schur(form: sp.csr_matrix, solve: Callable, fill: int, sigma: complex,
                   shift: complex, count: int, ask: int, ncv: int, start: np.ndarray,
                   target: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ``count`` Ritz pairs nearest ``shift`` of ``OP = (form - sigma)^-1``.
 
-    Shift-invert Arnoldi on ``opinv`` from ``start`` keeps ``OP V = V H +
+    Shift-invert Arnoldi on the refined solve ``solve`` from ``start`` keeps ``OP V = V H +
     f e_m^T`` with ``V`` orthonormal (two passes of classical Gram-Schmidt).
     A Ritz pair ``(theta, V y)`` of ``H`` is an eigenpair of ``form`` at
     ``sigma + 1 / theta`` with residual ``||(form - sigma) f|| |e_m^T y| /
     |theta|``, so the iteration stops once the ``count`` Ritz values nearest
     ``shift`` all have that residual within ``target``.  The test, an
     eigensolve of the m x m ``H``, is made when the basis is full and after
-    each application of ``opinv`` (whose LU holds ``fill`` entries) at which
+    each call of ``solve`` (whose LU holds ``fill`` entries) at which
     the applications since the last test have done the work of one test,
     :data:`_STOP_TEST_WORK` ``* m**3`` LU entries: after every application
     on large sectors, where an application costs more than the test, and
@@ -645,7 +643,7 @@ def _krylov_schur(form: sp.csr_matrix, opinv: spla.LinearOperator, fill: int, si
     kept = pending = 0  # LU entries applied since the last test
     for _ in range(KRYLOV_CYCLE_LIMIT):
         for j in range(kept, ncv):
-            w = opinv.matvec(basis[:, j])
+            w = solve(basis[:, j])
             pending += fill
             size = np.linalg.norm(w)
             rayleigh[:j + 1, j] = _orthogonalize(gemv, basis[:, :j + 1], w)
@@ -694,8 +692,8 @@ def _inverse_iteration(a: MatrixLike, shift: complex, tol: float, seed: int,
                        involution: Optional[np.ndarray]) -> EigResult:
     """The two Ritz pairs nearest zero of block inverse iteration on one LU.
 
-    The LU is of ``a - sigma`` at ``sigma = shift - 1e-6 * scale``, a
-    thousand times nearer the shift than that of :func:`eig_targeted`: the
+    The refined solve (:func:`_refined_inverse`) is of ``a - sigma`` at ``sigma = shift - 1e-6 *
+    scale``, a thousand times nearer the shift than that of :func:`eig_targeted`: the
     vector nearest zero converges by the displacement over the distance to
     the third eigenvalue per solve, so a displacement well below the gap
     takes a few solves.  A block of two vectors, started from ``seed``, is
@@ -716,16 +714,15 @@ def _inverse_iteration(a: MatrixLike, shift: complex, tol: float, seed: int,
     with _SmallSolveThreads(n):
         form, to_original, form_shift = _working_form(m, shift, involution, scale)
         sigma = form_shift - 1e-6 * scale
-        opinv, _ = _shift_inverse(form, shift, sigma, scale)
+        solve, _ = _shift_inverse(form, shift, sigma, scale)
         basis = _start_block(seed, (n, 2), form.dtype)
         target, previous = min(tol, 1e-10) * 1e-2, np.inf
         for _ in range(NULL_ITERATION_LIMIT):
-            solved = opinv.matmat(basis)
+            solved = solve(basis)
             if previous <= tol:
-                # Near convergence, one more refinement step than the operator
-                # takes: without it the LU's round-off held the residual near
-                # 5e-12 on the lmg N=20, k_max=7 parity sector 0.
-                solved += opinv.matmat(basis - (form @ solved - sigma * solved))
+                # Near convergence, a second refinement step: without it round-off
+                # held the residual near 5e-12 on the lmg N=20, k_max=7 parity sector 0.
+                solved += solve(basis - (form @ solved - sigma * solved))
             basis, _ = np.linalg.qr(solved)
             image = form @ basis
             values, coefficients = np.linalg.eig(basis.conj().T @ image)
@@ -944,10 +941,10 @@ def write_triplets(a: MatrixLike, path) -> None:
 
 
 def read_triplets(path) -> sp.csr_matrix:
-    """Read a matrix written by :func:`write_triplets`.
+    """Read a matrix written by :func:`write_triplets`: a header and exactly ``nnz`` entry lines.
 
-    A header or entry line of the wrong length or with unreadable values
-    raises :class:`MatrixValidationError` naming the line.
+    A malformed header or entry line, or a line after the last entry that
+    is not blank, raises :class:`MatrixValidationError` naming the line.
     """
     with open(path, "r", encoding="ascii") as fh:
         try:
@@ -956,8 +953,7 @@ def read_triplets(path) -> sp.csr_matrix:
             raise MatrixValidationError(f"{path}: malformed triplet header") from exc
         if min(rows, cols, nnz) < 0:
             raise MatrixValidationError(f"{path}: negative size in the triplet header")
-        r = np.empty(nnz, dtype=np.int64)
-        c = np.empty(nnz, dtype=np.int64)
+        r, c = np.empty((2, nnz), dtype=np.int64)
         data = np.empty(nnz, dtype=complex)
         for i in range(nnz):
             try:
@@ -965,6 +961,9 @@ def read_triplets(path) -> sp.csr_matrix:
                 r[i], c[i], data[i] = int(row), int(col), float(re) + 1j * float(im)
             except (ValueError, OverflowError) as exc:
                 raise MatrixValidationError(f"{path}: malformed triplet line {i + 2}") from exc
+        for i, line in enumerate(fh, nnz + 2):
+            if line.strip():
+                raise MatrixValidationError(f"{path}: extra triplet line {i} after {nnz} entries")
     if nnz and (r.min() < 0 or r.max() >= rows or c.min() < 0 or c.max() >= cols):
         raise MatrixValidationError(f"{path}: triplet indices out of range")
     return clean_sparse(sp.coo_matrix((data, (r, c)), shape=(rows, cols)))

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -380,6 +381,46 @@ def test_import_leaves_the_integrator_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "[]"
+
+
+# Prints whether scipy.sparse.linalg is loaded, and the dtype kind of each
+# level-set LU built, after the import, after a real-form eigs and null of a
+# z2_lmg sector, and after a complex solve of that sector without its involution.
+SOLVER_IMPORTS = """
+import json, sys
+from heomspectra import linalg
+from heomspectra.builder import assemble
+from heomspectra.models import z2_lmg
+from heomspectra.symmetry import decompose
+
+built, original = [], linalg._LevelSetLU
+linalg._LevelSetLU = lambda a: built.append(a.dtype.kind) or original(a)
+steps = {}
+
+def step(name):
+    steps[name] = ["scipy.sparse.linalg" in sys.modules, built[:]]
+    built.clear()
+
+step("import")
+sector = decompose(assemble(z2_lmg(4, -2.9, 0.5, 1.0, 1.0, 0.5), 3)).solvables[0]
+sector.null(0.0, 2)  # before eigs, whose solve a later null would reuse
+sector.eigs(0.0, 2)
+step("real")
+assert sector.matrix.shape[0] < linalg.LEVEL_LU_MIN_DIM
+linalg.Solvable(sector.matrix).eigs(0.0, 2)
+step("complex")
+print(json.dumps(steps))
+"""
+
+
+def test_sparse_linalg_loads_only_for_superlu():
+    # SuperLU, which factorizes complex matrices below LEVEL_LU_MIN_DIM, is
+    # the one user of scipy.sparse.linalg, so real forms never load it
+    out = subprocess.run([sys.executable, "-c", SOLVER_IMPORTS], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert json.loads(out.stdout) == {"import": [False, []], "real": [False, ["f", "f"]],
+                                      "complex": [True, []]}
 
 
 def test_generators_compare_by_identity(qubit_decay_model):

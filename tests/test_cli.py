@@ -804,6 +804,8 @@ BAD_VALUES = [
     ({"observables": [{"name": "X", "file": "wide.txt"}]}, "observables[0]"),
     ({"model": "custom", "params": {}, "sweep": {"parameter": "x", "grid": [0.0]},
       "custom": {**CUSTOM, "hamiltonian_file": "bad.txt"}}, "custom.hamiltonian_file"),
+    ({"model": "custom", "params": {}, "sweep": {"parameter": "x", "grid": [0.0]},
+      "custom": {**CUSTOM, "hamiltonian_file": "long.txt"}}, "custom.hamiltonian_file"),
     # a matrix file with a NaN or Inf entry
     ({"observables": [{"name": "X", "file": "nan.txt"}]}, "observables[0].file"),
     ({"model": "custom", "params": {}, "sweep": {"parameter": "x", "grid": [0.0]},
@@ -825,6 +827,7 @@ def test_bad_values_exit_2_without_traceback(tmp_path, overrides, field):
         write_triplets(qubit_operators()["sigma_z"], tmp_path / name)
     (tmp_path / "bad.txt").write_text("2 2 x\n")
     (tmp_path / "wide.txt").write_text("2 3 0\n")
+    (tmp_path / "long.txt").write_text("2 2 1\n0 0 1 0\n1 1 5 0\n")  # an entry past nnz
     (tmp_path / "nan.txt").write_text("2 2 2\n0 0 nan 0\n1 1 1 0\n")
     (tmp_path / "inf.txt").write_text("2 2 2\n0 0 inf 0\n1 1 -1 0\n")
     proc = run_cli(tmp_path, write_config(tmp_path, **overrides))

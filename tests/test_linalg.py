@@ -644,12 +644,18 @@ class TestTriplets:
         ("2 2 x\n", "header"), ("", "header"), ("2 -2 0\n", "header"),
         ("2 2 1\n0 0 1.0\n", "line 2"), ("2 2 1\n0 0 one 0\n", "line 2"),
         ("2 2 2\n0 0 1 0\n", "line 3"), ("2 2 1\n99999999999999999999 0 1 0\n", "line 2"),
+        ("2 2 1\n0 0 1 0\n1 1 5 0\n", "line 3"), ("2 2 0\n \n0 0 1 0\n", "line 3"),
     ])
     def test_malformed_file(self, tmp_path, text, line):
         path = tmp_path / "bad.txt"
         path.write_text(text)
         with pytest.raises(MatrixValidationError, match=line):
             read_triplets(path)
+
+    def test_trailing_whitespace_is_allowed(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("2 2 1\n1 1 5 0\n\n  \n")
+        assert np.array_equal(read_triplets(path).toarray(), [[0, 0], [0, 5]])
 
 
 # Prints the thread count of each bundled OpenBLAS, before and after each
